@@ -31,7 +31,7 @@ Schedule schedule_criterion_only(const Instance& inst,
   while (!pending.empty()) {
     fitting.clear();
     for (TaskId id : pending) {
-      if (state.fits(inst[id])) fitting.push_back(id);
+      if (state.fits(inst[id].mem)) fitting.push_back(id);
     }
     if (fitting.empty()) {
       if (!state.advance_to_next_release()) {
@@ -50,7 +50,8 @@ Schedule schedule_criterion_only(const Instance& inst,
                               : t.acceleration() > b.acceleration();
       if (better) best = id;
     }
-    const TaskTimes tt = state.start(inst[best]);
+    const Task& t = inst[best];
+    const TaskTimes tt = state.issue(best, t.comm, t.comp, t.mem, t.channel);
     out.set(best, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), best));
   }

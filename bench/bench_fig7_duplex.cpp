@@ -1,8 +1,7 @@
 /// Fig. 7, duplex edition — the paper's exact-vs-heuristic comparison
 /// rerun with a *true* MILP in the exact seat. The original figure pits
 /// the heuristics against GLPK-windowed lp.k solves on single-channel HF
-/// traces (fig07_milp_comparison.cpp reproduces that with the windowed
-/// per-window optimizer); here the self-contained src/milp/ backend
+/// traces; here the self-contained src/milp/ backend
 /// proves whole-instance optima, so every heuristic's gap is measured
 /// against certified ground truth — and on *bidirectional* traces, the
 /// regime the paper's LP never covered.

@@ -3,9 +3,10 @@
 /// duplex-PCIe mixes, measures:
 ///
 ///  * candidate evaluations/second over a local-search-style neighborhood
-///    (every adjacent swap of the Johnson order), on BOTH engines:
-///      - legacy: the pre-fast-path scoring loop — a fresh ExecutionState
-///        plus Schedule per candidate, execute_order, Schedule::makespan;
+///    (every adjacent swap of the Johnson order), on two paths through
+///    the one engine:
+///      - legacy: the one-shot path — a fresh engine plus a Schedule per
+///        candidate through simulate_order, then Schedule::makespan;
 ///      - fast path: one CompiledInstance + PrefixResumeEvaluator, the
 ///        loop every solver now runs.
 ///    The two passes evaluate the identical candidate stream and their
@@ -74,23 +75,20 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The pre-fast-path candidate scoring step, verbatim: fresh engine and
-/// schedule per candidate, full simulation, makespan scan.
+/// The one-shot candidate scoring step: a fresh engine and Schedule per
+/// candidate (simulate_order), full simulation, makespan scan.
 Time legacy_candidate_eval(const Instance& inst,
                            std::span<const TaskId> order, Mem capacity) {
-  ExecutionState state(capacity, inst.num_channels());
-  Schedule sched(inst.size());
-  execute_order(inst, order, state, sched);
-  return sched.makespan(inst);
+  return simulate_order(inst, order, capacity).makespan(inst);
 }
 
-/// One (kernel, mode) row: neighborhood-eval throughput on both engines
+/// One (kernel, mode) row: neighborhood-eval throughput on both paths
 /// plus end-to-end solves. Returns false on a bitwise makespan mismatch
-/// between the two engines (the bench then fails).
+/// between the two paths (the bench then fails).
 bool measure(const std::vector<Instance>& corpus, ThroughputRow& row,
              bool quick) {
   // The candidate sweep uses a slice of the corpus; repeats scale the
-  // stream to enough evaluations for a stable clock on both engines.
+  // stream to enough evaluations for a stable clock on both paths.
   const std::size_t sweep_traces = std::min<std::size_t>(corpus.size(),
                                                          quick ? 4 : 12);
   std::vector<std::vector<TaskId>> bases(sweep_traces);
@@ -112,7 +110,7 @@ bool measure(const std::vector<Instance>& corpus, ThroughputRow& row,
     row.median_tasks = static_cast<std::size_t>(summarize(sorted_tasks).median);
   }
 
-  // Pass 1: legacy engine. Makespans of the first repeat are kept for the
+  // Pass 1: one-shot path. Makespans of the first repeat are kept for the
   // bitwise cross-check.
   std::vector<Time> legacy_ms;
   legacy_ms.reserve(sweep_size);
@@ -224,7 +222,7 @@ int main(int argc, char** argv) {
       row.mode = duplex ? "duplex" : "single";
       if (!measure(corpus, row, quick)) {
         std::fprintf(stderr,
-                     "fast path disagrees with the reference engine on "
+                     "fast path disagrees with the one-shot path on "
                      "%s/%s — refusing to report throughput\n",
                      row.kernel.c_str(), row.mode.c_str());
         return 1;

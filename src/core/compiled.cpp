@@ -1,7 +1,6 @@
 #include "core/compiled.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -12,37 +11,10 @@ namespace {
 // Error paths live in cold [[noreturn]] helpers so the hot loops contain
 // no string construction (enforced by the dts-lint hot-path-noalloc rule).
 
-[[noreturn]] void throw_negative_capacity() {
-  throw std::invalid_argument("evaluate_order: capacity must be >= 0");
-}
-
-[[noreturn]] void throw_no_channels() {
-  throw std::invalid_argument("evaluate_order: need at least one channel");
-}
-
-[[noreturn]] void throw_negative_availability() {
-  throw std::invalid_argument("evaluate_order: negative availability");
-}
-
 [[noreturn]] void throw_unknown_task(TaskId id, std::size_t n) {
   throw std::out_of_range("evaluate_order: task id " + std::to_string(id) +
                           " out of range (instance has " + std::to_string(n) +
                           " tasks)");
-}
-
-[[noreturn]] void throw_unknown_channel(TaskId id, ChannelId ch,
-                                        std::size_t nch) {
-  throw std::out_of_range("evaluate_order: task " + std::to_string(id) +
-                          " names channel " + std::to_string(ch) +
-                          " but the engine tracks " + std::to_string(nch));
-}
-
-[[noreturn]] void throw_never_fits(TaskId id, Mem mem, Mem capacity) {
-  // Same message shape as execute_order so callers and logs stay familiar.
-  throw std::invalid_argument(
-      "execute_order: task " + std::to_string(id) + " requires " +
-      std::to_string(mem) + " bytes but capacity is " +
-      std::to_string(capacity));
 }
 
 [[noreturn]] void throw_unissued_pred(TaskId id, TaskId dep) {
@@ -66,13 +38,11 @@ CompiledInstance::CompiledInstance(const Instance& inst)
   comp_.reserve(n);
   mem_.reserve(n);
   channel_.reserve(n);
-  std::vector<std::size_t> per_channel(n_channels_, 0);
   for (const Task& t : inst) {
     comm_.push_back(t.comm);
     comp_.push_back(t.comp);
     mem_.push_back(t.mem);
     channel_.push_back(t.channel);
-    ++per_channel[t.channel];
   }
   dep_offsets_.assign(n + 1, 0);
   if (has_dependencies_) {
@@ -84,100 +54,31 @@ CompiledInstance::CompiledInstance(const Instance& inst)
       dep_edges_.insert(dep_edges_.end(), t.deps.begin(), t.deps.end());
     }
   }
-  channel_offsets_.assign(n_channels_ + 1, 0);
-  for (std::size_t ch = 0; ch < n_channels_; ++ch) {
-    channel_offsets_[ch + 1] = channel_offsets_[ch] + per_channel[ch];
-  }
-  channel_tasks_.resize(n);
-  std::vector<std::size_t> cursor(channel_offsets_.begin(),
-                                  channel_offsets_.end() - 1);
-  for (std::size_t id = 0; id < n; ++id) {
-    channel_tasks_[cursor[channel_[id]]++] = static_cast<TaskId>(id);
-  }
-}
-
-std::span<const TaskId> CompiledInstance::tasks_on_channel(ChannelId ch) const {
-  if (ch >= n_channels_) {
-    throw std::out_of_range("CompiledInstance::tasks_on_channel: channel " +
-                            std::to_string(ch) + " out of range");
-  }
-  return std::span<const TaskId>(channel_tasks_)
-      .subspan(channel_offsets_[ch],
-               channel_offsets_[ch + 1] - channel_offsets_[ch]);
 }
 
 // ----------------------------------------------------------------------
 // EvalScratch
 
-Time EvalScratch::comm_available() const noexcept {
-  Time latest = comm_avail_[0];
-  for (std::size_t c = 1; c < comm_avail_.size(); ++c) {
-    latest = std::max(latest, comm_avail_[c]);
-  }
-  return latest;
-}
-
 void EvalScratch::reset(const CompiledInstance& ci, Mem capacity,
                         const ExecutionState::Snapshot* initial,
                         std::span<const Time> ready) {
-  if (!(capacity >= 0.0)) throw_negative_capacity();  // also rejects NaN
-  capacity_ = capacity;
+  if (initial == nullptr) {
+    state_.restore(capacity, ci.num_channels());
+  } else {
+    state_.restore(capacity, *initial);
+  }
+  // After warm-up this is a no-op: issuing adds at most one in-flight
+  // entry per task, so the hot loop never reallocates.
+  state_.reserve(ci.size());
   makespan_ = 0.0;
-  used_ = 0.0;
-  active_.clear();
-  track_deps_ = ci.has_dependencies();
-  if (track_deps_) {
+  if (ci.has_dependencies()) {
     comp_end_.assign(ci.size(), -1.0);  // -1 = not issued yet
   }
   external_ready_.assign(ready.begin(), ready.end());
-  if (initial == nullptr) {
-    comm_avail_.assign(ci.num_channels(), 0.0);
-    now_ = 0.0;
-    comp_avail_ = 0.0;
-  } else {
-    // Mirrors ExecutionState(Mem, Snapshot) exactly: the engine's channel
-    // count is the snapshot's clock count, the decision instant resumes
-    // at max(captured instant, earliest free channel), and entries whose
-    // computation already finished carry no memory.
-    const ExecutionState::Snapshot& snap = *initial;
-    if (snap.comm_available.empty()) throw_no_channels();
-    for (Time avail : snap.comm_available) {
-      if (avail < 0.0) throw_negative_availability();
-    }
-    if (snap.comp_available < 0.0 || snap.now < 0.0) {
-      throw_negative_availability();
-    }
-    comm_avail_.assign(snap.comm_available.begin(), snap.comm_available.end());
-    comp_avail_ = snap.comp_available;
-    now_ = std::max(snap.now, *std::min_element(comm_avail_.begin(),
-                                                comm_avail_.end()));
-    active_.reserve(snap.active.size() + ci.size());
-    for (const auto& [comp_end, mem] : snap.active) {
-      if (approx_leq(comp_end, now_)) continue;
-      used_ += mem;
-      active_.push_back(Active{comp_end, mem});
-    }
-    std::make_heap(active_.begin(), active_.end(), std::greater<>{});
-  }
-  // After warm-up these reserves are no-ops: issuing can add at most one
-  // active entry per task, so the hot loop's push_back never reallocates.
-  active_.reserve(active_.size() + ci.size());
 }
 
-// dts-lint: hot-path
-void EvalScratch::release_until(Time t) {
-  while (!active_.empty() && approx_leq(active_.front().comp_end, t)) {
-    used_ -= active_.front().mem;
-    std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
-    active_.pop_back();
-  }
-  if (active_.empty()) used_ = 0.0;  // snap away accumulated rounding
-}
-
-// The inner kernel: one iteration replicates execute_order's
-// fits/advance loop plus ExecutionState::start operation for operation
-// (same std::max chains, same approx_leq checks, same heap ops), so every
-// intermediate double is bit-identical to the reference engine's.
+// The inner kernel: ExecutionState::issue over the SoA arrays, plus the
+// predecessor floors the compiled path tracks per task id.
 // dts-lint: hot-path
 void EvalScratch::issue(const CompiledInstance& ci,
                         std::span<const TaskId> order, std::size_t first,
@@ -187,76 +88,32 @@ void EvalScratch::issue(const CompiledInstance& ci,
   const Mem* const mem = ci.mems().data();
   const ChannelId* const channel = ci.channels().data();
   const std::size_t n_tasks = ci.size();
-  const std::size_t nch = comm_avail_.size();
-  Time* const clocks = comm_avail_.data();
   // DAG support is fully gated: edge-free instances with no external
-  // floors run the original operation sequence (bit-parity with the
-  // precedence-free engine is pinned by the golden suites).
-  const bool gated = track_deps_ || !external_ready_.empty();
+  // floors pass ready == 0, the precedence-free operation sequence.
   const Time* const floors =
       external_ready_.empty() ? nullptr : external_ready_.data();
-  const Time* const ends = track_deps_ ? comp_end_.data() : nullptr;
+  Time* const ends = ci.has_dependencies() ? comp_end_.data() : nullptr;
 
   for (std::size_t k = first; k < last; ++k) {
     const TaskId id = order[k];
     if (id >= n_tasks) throw_unknown_task(id, n_tasks);
-    const Mem m = mem[id];
-    // execute_order's admission loop: wait for computation-finish events
-    // until the task fits (memory is only released at those instants).
-    while (!approx_leq(used_ + m, capacity_)) {
-      if (active_.empty()) throw_never_fits(id, m, capacity_);
-      now_ = std::max(now_, active_.front().comp_end);
-      release_until(now_);
-    }
-    const ChannelId ch = channel[id];
-    if (ch >= nch) throw_unknown_channel(id, ch, nch);
-    Time comm_start = std::max(now_, clocks[ch]);
-    if (gated) {
+    Time ready = floors != nullptr ? floors[id] : 0.0;
+    if (ends != nullptr) {
       // Release-when-predecessors-complete: the transfer waits for every
-      // predecessor's computation end (and any external cross-window
-      // floor), exactly as ExecutionState::start(t, ready).
-      Time ready = floors != nullptr ? floors[id] : 0.0;
-      if (ends != nullptr) {
-        for (const TaskId dep : ci.deps(id)) {
-          const Time pred_end = ends[dep];
-          if (pred_end < 0.0) throw_unissued_pred(id, dep);
-          ready = std::max(ready, pred_end);
-        }
+      // predecessor's computation end.
+      for (const TaskId dep : ci.deps(id)) {
+        const Time pred_end = ends[dep];
+        if (pred_end < 0.0) throw_unissued_pred(id, dep);
+        ready = std::max(ready, pred_end);
       }
-      comm_start = std::max(comm_start, ready);
     }
-    if (comm_start > now_) {
-      // The task's engine is busy past the decision instant (or a
-      // predecessor finishes later); memory finishing in the gap is
-      // released (it only shrinks the footprint, so the admission check
-      // above still holds).
-      now_ = comm_start;
-      release_until(now_);
-    }
-    const Time comm_end = comm_start + comm[id];
-    const Time comp_start = std::max(comm_end, comp_avail_);
-    const Time comp_end = comp_start + comp[id];
-    if (ends != nullptr) comp_end_[id] = comp_end;
-
-    used_ += m;
-    active_.push_back(Active{comp_end, m});
-    std::push_heap(active_.begin(), active_.end(), std::greater<>{});
-
-    clocks[ch] = comm_end;
-    comp_avail_ = comp_end;
+    const TaskTimes tt =
+        state_.issue(id, comm[id], comp[id], mem[id], channel[id], ready);
     // Computation ends are monotone along the issue order, so the last
     // one is the running makespan.
-    makespan_ = comp_end;
-
-    // advance_decision_instant: now := max(now, earliest free channel).
-    Time min_clock = clocks[0];
-    for (std::size_t c = 1; c < nch; ++c) {
-      min_clock = std::min(min_clock, clocks[c]);
-    }
-    now_ = std::max(now_, min_clock);
-    release_until(now_);
-
-    if (record != nullptr) record->set(id, comm_start, comp_start);
+    makespan_ = state_.comp_available();
+    if (ends != nullptr) ends[id] = makespan_;
+    if (record != nullptr) record->set(id, tt.comm_start, tt.comp_start);
   }
 }
 
@@ -266,7 +123,7 @@ Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
                     std::span<const Time> ready) {
   scratch.reset(ci, capacity, initial, ready);
   scratch.issue(ci, order, 0, order.size(), nullptr);
-  return scratch.makespan_;
+  return scratch.makespan();
 }
 
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
@@ -275,7 +132,7 @@ Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
                     std::span<const Time> ready) {
   scratch.reset(ci, capacity, initial, ready);
   scratch.issue(ci, order, 0, order.size(), &out);
-  return scratch.makespan_;
+  return scratch.makespan();
 }
 
 // ----------------------------------------------------------------------
@@ -307,32 +164,19 @@ void PrefixResumeEvaluator::set_external_ready(std::span<const Time> ready) {
 
 void PrefixResumeEvaluator::save_checkpoint(std::size_t k) {
   Checkpoint& cp = checkpoints_[k];
-  cp.now = scratch_.now_;
-  cp.comp_avail = scratch_.comp_avail_;
+  cp.state = scratch_.state_;
   cp.makespan = scratch_.makespan_;
-  cp.used = scratch_.used_;
-  cp.comm_avail.assign(scratch_.comm_avail_.begin(),
-                       scratch_.comm_avail_.end());
-  cp.active.assign(scratch_.active_.begin(), scratch_.active_.end());
-  if (scratch_.track_deps_) {
-    // Successor transfers read issued tasks' computation ends, so on a
-    // DAG the per-task ends are part of the engine state.
-    cp.comp_end.assign(scratch_.comp_end_.begin(), scratch_.comp_end_.end());
-  }
+  // Successor transfers read issued tasks' computation ends, so on a DAG
+  // the per-task ends are part of the engine state.
+  if (ci_->has_dependencies()) cp.comp_end = scratch_.comp_end_;
 }
 
 // dts-lint: hot-path
 void PrefixResumeEvaluator::load_checkpoint(std::size_t k) {
   const Checkpoint& cp = checkpoints_[k];
-  scratch_.now_ = cp.now;
-  scratch_.comp_avail_ = cp.comp_avail;
+  scratch_.state_ = cp.state;
   scratch_.makespan_ = cp.makespan;
-  scratch_.used_ = cp.used;
-  scratch_.comm_avail_.assign(cp.comm_avail.begin(), cp.comm_avail.end());
-  scratch_.active_.assign(cp.active.begin(), cp.active.end());
-  if (scratch_.track_deps_) {
-    scratch_.comp_end_.assign(cp.comp_end.begin(), cp.comp_end.end());
-  }
+  if (ci_->has_dependencies()) scratch_.comp_end_ = cp.comp_end;
 }
 
 std::size_t PrefixResumeEvaluator::common_prefix(
@@ -369,38 +213,12 @@ Time PrefixResumeEvaluator::set_reference(std::span<const TaskId> order) {
 
 // dts-lint: hot-path
 bool PrefixResumeEvaluator::state_matches(const Checkpoint& cp) const noexcept {
-  // comp_avail_ carries a swap's perturbation the longest on comp-bound
-  // workloads, so it is the most discriminating scalar — check it first.
-  if (scratch_.comp_avail_ != cp.comp_avail || scratch_.now_ != cp.now ||
-      scratch_.makespan_ != cp.makespan || scratch_.used_ != cp.used) {
-    return false;
-  }
-  if (scratch_.comm_avail_.size() != cp.comm_avail.size() ||
-      scratch_.active_.size() != cp.active.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < cp.comm_avail.size(); ++c) {
-    if (scratch_.comm_avail_[c] != cp.comm_avail[c]) return false;
-  }
-  // Element order matters (heap layout drives release tie-breaks), so the
-  // comparison is over the raw arrays, not the multisets.
-  for (std::size_t a = 0; a < cp.active.size(); ++a) {
-    if (scratch_.active_[a].comp_end != cp.active[a].comp_end ||
-        scratch_.active_[a].mem != cp.active[a].mem) {
-      return false;
-    }
-  }
-  if (scratch_.track_deps_) {
-    // On a DAG, suffix tasks read predecessors' recorded ends — states
-    // only merge when those agree too (the candidate has issued the same
-    // task set as the reference prefix, so a plain array compare works:
-    // unissued entries are -1 on both sides).
-    if (scratch_.comp_end_.size() != cp.comp_end.size()) return false;
-    for (std::size_t i = 0; i < cp.comp_end.size(); ++i) {
-      if (scratch_.comp_end_[i] != cp.comp_end[i]) return false;
-    }
-  }
-  return true;
+  // On a DAG, suffix tasks read predecessors' recorded ends — states only
+  // merge when those agree too (the candidate has issued the same task
+  // set as the reference prefix, so a plain array compare works:
+  // unissued entries are -1 on both sides).
+  return scratch_.state_ == cp.state && scratch_.makespan_ == cp.makespan &&
+         (!ci_->has_dependencies() || scratch_.comp_end_ == cp.comp_end);
 }
 
 // dts-lint: hot-path

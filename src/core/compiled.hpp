@@ -1,38 +1,29 @@
 #pragma once
 
 /// \file compiled.hpp
-/// Data-oriented evaluation core: the allocation-free fast path every
-/// candidate-scoring loop in the library runs on.
-///
-/// The `ExecutionState` engine (simulate.hpp) is the semantic reference:
-/// one availability clock per copy engine, one processor clock, memory
-/// held from transfer start to computation end. It is also the inner
-/// kernel of local search, batch-auto trials, the exhaustive and
-/// pair-order exact searches and the differential suite — paths that
-/// evaluate thousands to millions of candidate orders and only need the
-/// makespan, not a `Schedule`. This header provides that hot path:
+/// Data-oriented evaluation: the allocation-free path every
+/// candidate-scoring loop in the library runs on. It adds no timing rules
+/// of its own — it drives ExecutionState::issue (simulate.hpp) over
+/// structure-of-arrays task data:
 ///
 ///  * `CompiledInstance` — a structure-of-arrays compilation of an
 ///    `Instance`: contiguous `comm[]`, `comp[]`, `mem[]`, `channel[]`
 ///    arrays (no per-task `std::string` name pulling cold bytes through
-///    the cache) plus per-channel task index lists. Built once, shared by
-///    every candidate evaluation.
-///  * `EvalScratch` + `evaluate_order()` — computes the makespan of an
-///    order with *bit-identical* arithmetic to
-///    `simulate_order(...).makespan(...)` (same operation sequence, same
-///    epsilon comparisons, same heap discipline) but with zero heap
-///    allocation per call after warm-up, no `Schedule` construction and
-///    no string-building error paths in the loop. A recording overload
-///    fills a `Schedule`; `simulate_order`/`makespan_of_order` are
-///    re-expressed on top of these.
-///  * `PrefixResumeEvaluator` — caches the engine state after every
-///    prefix of a reference order so that candidates sharing a prefix
-///    (local-search adjacent swaps, `next_permutation` scans in the
-///    exact searches) resimulate only the suffix.
+///    the cache) plus the dependency edges in CSR form. Built once,
+///    shared by every candidate evaluation.
+///  * `EvalScratch` + `evaluate_order()` — the makespan of an order with
+///    zero heap allocation per call after warm-up, no `Schedule`
+///    construction and no string-building error paths in the loop. A
+///    recording overload fills a `Schedule`; `simulate_order` and
+///    `makespan_of_order` are built on these.
+///  * `PrefixResumeEvaluator` — keeps a value copy of the engine after
+///    every prefix of a reference order so that candidates sharing a
+///    prefix (local-search adjacent swaps, `next_permutation` scans in
+///    the exact searches) resimulate only the suffix.
 ///
-/// Parity with the reference engine is pinned bit-for-bit by
-/// tests/fast_path_parity_test.cpp across channel counts, memory
-/// regimes and carried snapshots.
+/// Makespans, start times and final engine states are pinned bit-for-bit
+/// by the golden records of tests/fast_path_parity_test.cpp across channel
+/// counts, memory regimes and carried snapshots.
 
 #include <cstdint>
 #include <span>
@@ -79,10 +70,6 @@ class CompiledInstance {
     return channel_;
   }
 
-  /// Ids of the tasks whose transfer runs on `ch`, in submission order
-  /// (same contents as Instance::tasks_on_channel, zero-allocation view).
-  [[nodiscard]] std::span<const TaskId> tasks_on_channel(ChannelId ch) const;
-
   /// True when the source instance carries dependency edges; every DAG
   /// branch of the hot loop is gated on this, so edge-free instances take
   /// exactly the original operation sequence.
@@ -102,10 +89,6 @@ class CompiledInstance {
   std::vector<Time> comp_;
   std::vector<Mem> mem_;
   std::vector<ChannelId> channel_;
-  /// Per-channel task index lists: channel `ch` owns
-  /// channel_tasks_[channel_offsets_[ch] .. channel_offsets_[ch + 1]).
-  std::vector<TaskId> channel_tasks_;
-  std::vector<std::size_t> channel_offsets_;
   /// Dependency edges, CSR over task ids: task `id` owns
   /// dep_edges_[dep_offsets_[id] .. dep_offsets_[id + 1]).
   std::vector<TaskId> dep_edges_;
@@ -117,28 +100,18 @@ class CompiledInstance {
 
 class PrefixResumeEvaluator;
 
-/// Reusable engine state for `evaluate_order`. All buffers persist across
-/// calls, so a warm scratch evaluates orders with zero heap allocation.
-/// The arithmetic replicates `ExecutionState` operation for operation —
-/// same `std::max` chains, same epsilon comparisons, same binary-heap
-/// discipline on the active set — so makespans are bit-identical to the
-/// reference engine.
+/// Reusable engine for `evaluate_order`: an ExecutionState driven over the
+/// SoA arrays of a CompiledInstance, plus the DAG bookkeeping the
+/// compiled path keeps per task. All buffers persist across calls, so a
+/// warm scratch evaluates orders with zero heap allocation.
 class EvalScratch {
  public:
   EvalScratch() = default;
 
-  /// Results of the last evaluation run on this scratch.
+  /// Makespan of the last evaluation run on this scratch.
   [[nodiscard]] Time makespan() const noexcept { return makespan_; }
-  [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] Time comp_available() const noexcept { return comp_avail_; }
-  /// Instant at which *every* channel is free (max clock) — the value
-  /// `ExecutionState::comm_available()` reports, used by exact-search
-  /// tie-breaks.
-  [[nodiscard]] Time comm_available() const noexcept;
-  [[nodiscard]] Mem used_memory() const noexcept { return used_; }
-  [[nodiscard]] std::size_t active_tasks() const noexcept {
-    return active_.size();
-  }
+  /// Engine state after the last evaluation: clocks, memory, in-flight set.
+  [[nodiscard]] const ExecutionState& state() const noexcept { return state_; }
 
  private:
   friend class PrefixResumeEvaluator;
@@ -153,23 +126,11 @@ class EvalScratch {
                              const ExecutionState::Snapshot* initial,
                              std::span<const Time> ready);
 
-  struct Active {
-    Time comp_end;
-    Mem mem;
-    /// Min-heap on comp_end — identical comparator to
-    /// ExecutionState::ActiveTask so the release order (and therefore the
-    /// floating-point accumulation order of `used_`) matches exactly.
-    [[nodiscard]] bool operator>(const Active& o) const noexcept {
-      return comp_end > o.comp_end;
-    }
-  };
-
-  /// Rebuilds the engine start state: fresh clocks, or a carried
-  /// snapshot (mirroring ExecutionState(Mem, Snapshot) exactly). `ready`
-  /// (optional, per task id of `ci`) floors each transfer start at an
-  /// externally known instant — the window solver passes predecessor
-  /// completion times from earlier windows alongside the carried
-  /// snapshot; empty means no external floors.
+  /// Rebuilds the engine start state: fresh clocks, or a carried snapshot
+  /// (ExecutionState's snapshot restore). `ready` (optional, per task id
+  /// of `ci`) floors each transfer start at an externally known instant —
+  /// the window solver passes predecessor completion times from earlier
+  /// windows alongside the carried snapshot; empty means no floors.
   void reset(const CompiledInstance& ci, Mem capacity,
              const ExecutionState::Snapshot* initial,
              std::span<const Time> ready = {});
@@ -177,36 +138,29 @@ class EvalScratch {
   /// `record` is null on the scoring path.
   void issue(const CompiledInstance& ci, std::span<const TaskId> order,
              std::size_t first, std::size_t last, Schedule* record);
-  void release_until(Time t);
 
-  Mem capacity_ = 0.0;
-  Time now_ = 0.0;
-  Time comp_avail_ = 0.0;
+  ExecutionState state_{0.0};
   /// End of the last computation issued (0 before any issue). Computation
   /// ends are monotone along the issue order, so this equals
   /// Schedule::makespan over the issued tasks.
   Time makespan_ = 0.0;
-  Mem used_ = 0.0;
-  std::vector<Time> comm_avail_;  // one availability clock per channel
-  std::vector<Active> active_;    // binary min-heap via std::*_heap
-  /// DAG support, all inert on edge-free instances: when track_deps_, each
-  /// issued task records its computation end here (-1 = not issued) and a
-  /// transfer waits for every predecessor's recorded end. external_ready_
+  /// DAG support, inert on edge-free instances: there each issued task
+  /// records its computation end here (-1 = not issued) and a transfer
+  /// waits for every predecessor's recorded end. external_ready_
   /// (possibly empty) carries cross-window floors per task id.
-  bool track_deps_ = false;
   std::vector<Time> comp_end_;
   std::vector<Time> external_ready_;
 };
 
-/// Makespan of `order` (ids into `ci`), bit-identical to
-/// `simulate_order(inst, order, capacity).makespan(inst)` but without
-/// constructing a Schedule and without heap allocation once `scratch` is
-/// warm. `initial` (optional) carries a previous engine state exactly as
-/// `ExecutionState(capacity, *initial)` would. Unlike simulate_order, the
-/// order may cover any subset of the instance (the exact searches score
-/// window suffixes). Throws the same exception types as the reference
-/// path: std::invalid_argument when capacity is negative or a task can
-/// never fit, std::out_of_range for an unknown task or channel.
+/// Makespan of `order` (ids into `ci`) — what
+/// `simulate_order(inst, order, capacity).makespan(inst)` returns, but
+/// without constructing a Schedule and without heap allocation once
+/// `scratch` is warm. `initial` (optional) carries a previous engine state
+/// exactly as `ExecutionState(capacity, *initial)` would. Unlike
+/// simulate_order, the order may cover any subset of the instance (the
+/// exact searches score window suffixes). Throws std::invalid_argument
+/// when capacity is negative or a task can never fit, std::out_of_range
+/// for an unknown task or channel.
 /// `ready` (optional, indexed by task id) floors each transfer start at an
 /// externally known instant — cross-window predecessor completion times.
 /// On a DAG instance the engine additionally enforces the instance's own
@@ -276,8 +230,8 @@ class PrefixResumeEvaluator {
   }
 
   /// State of the engine after the most recent set_reference/evaluate.
-  [[nodiscard]] const EvalScratch& last_state() const noexcept {
-    return scratch_;
+  [[nodiscard]] const ExecutionState& last_state() const noexcept {
+    return scratch_.state();
   }
 
   /// Instrumentation: candidate evaluations served, tasks actually
@@ -297,12 +251,8 @@ class PrefixResumeEvaluator {
   /// assigned in place on save/load, so steady-state checkpointing does
   /// not allocate.
   struct Checkpoint {
-    Time now = 0.0;
-    Time comp_avail = 0.0;
+    ExecutionState state{0.0};
     Time makespan = 0.0;
-    Mem used = 0.0;
-    std::vector<Time> comm_avail;
-    std::vector<EvalScratch::Active> active;
     /// Per-task computation ends, saved only on DAG instances (successor
     /// transfers read them, so they are part of the engine state).
     std::vector<Time> comp_end;

@@ -1,7 +1,10 @@
 #include "core/validate.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <sstream>
+#include <utility>
 
 namespace dts {
 
@@ -50,28 +53,37 @@ std::string ValidationReport::summary() const {
 }
 
 Mem peak_memory(const Instance& inst, const Schedule& sched) {
-  // Sweep events: +mem at comm start, -mem at comp end. Process releases
-  // before acquisitions at equal instants (half-open semantics).
-  struct Event {
-    Time t;
-    Mem delta;
-  };
-  std::vector<Event> events;
-  events.reserve(2 * inst.size());
+  // Replays the engine's release rule: at a transfer start, every
+  // allocation whose computation ends approx_leq that instant is already
+  // free — the epsilon convention of every other check here. An exact
+  // sweep would count an end a few ulps past the next start as overlap
+  // and reject schedules the engine itself produced.
+  std::vector<TaskId> starts;
+  starts.reserve(inst.size());
   for (TaskId i = 0; i < inst.size(); ++i) {
-    const TaskTimes& tt = sched[i];
-    if (!tt.scheduled()) continue;
-    events.push_back({tt.comm_start, inst[i].mem});
-    events.push_back({tt.comp_start + inst[i].comp, -inst[i].mem});
+    if (sched[i].scheduled()) starts.push_back(i);
   }
-  std::sort(events.begin(), events.end(), [](const Event& x, const Event& y) {
-    if (x.t != y.t) return x.t < y.t;
-    return x.delta < y.delta;  // releases first
+  std::sort(starts.begin(), starts.end(), [&](TaskId a, TaskId b) {
+    if (sched[a].comm_start != sched[b].comm_start) {
+      return sched[a].comm_start < sched[b].comm_start;
+    }
+    return a < b;
   });
+  using Held = std::pair<Time, Mem>;  // computation end, footprint
+  std::priority_queue<Held, std::vector<Held>, std::greater<>> held;
   Mem used = 0.0;
   Mem peak = 0.0;
-  for (const Event& e : events) {
-    used += e.delta;
+  for (const TaskId i : starts) {
+    const Time start = sched[i].comm_start;
+    while (!held.empty() && approx_leq(held.top().first, start)) {
+      used -= held.top().second;
+      held.pop();
+    }
+    if (held.empty()) used = 0.0;  // snap away accumulated rounding
+    const Time end = sched[i].comp_start + inst[i].comp;
+    if (approx_leq(end, start)) continue;  // holds nothing past its start
+    used += inst[i].mem;
+    held.emplace(end, inst[i].mem);
     peak = std::max(peak, used);
   }
   return peak;

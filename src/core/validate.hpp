@@ -17,7 +17,9 @@
 /// Memory intervals are half-open [SCOMM(i), SCOMP(i)+CP(i)): memory
 /// released at a computation-finish instant is immediately available to a
 /// transfer starting at that same instant (required by the tight schedules
-/// of the paper's 3-Partition reduction, Fig. 2).
+/// of the paper's 3-Partition reduction, Fig. 2). Like every check here,
+/// "at that same instant" is up to floating-point noise — the engine's own
+/// release rule.
 
 #include <string>
 #include <vector>

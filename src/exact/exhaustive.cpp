@@ -57,14 +57,15 @@ void scan_orders(const Instance& inst, Mem capacity,
   // next_permutation edits the tail of the sequence, so consecutive
   // permutations share a long prefix — the prefix-resume evaluator
   // resimulates only the changed suffix (~e tasks per permutation on
-  // average, independent of n). The winner's Schedule and carried
-  // snapshot are rebuilt on the reference engine only when the incumbent
-  // improves, which is rare.
+  // average, independent of n). The incumbent's carried snapshot is taken
+  // straight from the evaluator's engine; its Schedule is recorded once,
+  // after the scan.
   const CompiledInstance compiled(inst);
+  const ExecutionState::Snapshot* initial =
+      options.initial_state ? &*options.initial_state : nullptr;
   PrefixResumeEvaluator evaluator =
-      options.initial_state
-          ? PrefixResumeEvaluator(compiled, capacity, *options.initial_state)
-          : PrefixResumeEvaluator(compiled, capacity);
+      initial != nullptr ? PrefixResumeEvaluator(compiled, capacity, *initial)
+                         : PrefixResumeEvaluator(compiled, capacity);
   if (!options.ready_times.empty()) {
     evaluator.set_external_ready(options.ready_times);
   }
@@ -75,21 +76,20 @@ void scan_orders(const Instance& inst, Mem capacity,
     const Time link_free = evaluator.last_state().comm_available();
     if (result.order.empty() ||
         better_candidate(ms, link_free, result, best_link_free)) {
-      ExecutionState state =
-          options.initial_state
-              ? ExecutionState(capacity, *options.initial_state)
-              : ExecutionState(capacity, inst.num_channels());
-      Schedule sched(inst.size());
-      execute_order(inst, order, state, sched, options.ready_times);
       result.makespan = ms;
       result.order = order;
-      result.schedule = std::move(sched);
-      result.final_state = state.snapshot();
+      result.final_state = evaluator.last_state().snapshot();
       best_link_free = link_free;
     }
   } while (std::next_permutation(order.begin() +
                                      static_cast<std::ptrdiff_t>(fixed),
                                  order.end(), value_less));
+  if (!result.order.empty()) {
+    EvalScratch scratch;
+    result.schedule = Schedule(inst.size());
+    (void)evaluate_order(compiled, result.order, capacity, scratch,
+                         result.schedule, initial, options.ready_times);
+  }
 }
 
 }  // namespace

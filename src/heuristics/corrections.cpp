@@ -1,6 +1,5 @@
 #include "heuristics/corrections.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/johnson.hpp"
@@ -16,82 +15,28 @@ std::string_view to_corrected_acronym(DynamicCriterion c) noexcept {
   return "?";
 }
 
-void execute_corrected(const Instance& inst,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
-  const CompiledInstance ci(inst);
-  execute_corrected(ci, base_order, criterion, state, out);
-}
-
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
                        Schedule& out) {
-  std::vector<TaskId> pending(base_order.begin(), base_order.end());
-  std::vector<TaskId> fitting;
-  fitting.reserve(pending.size());
-
-  // Timing-relevant fields only; the engine's start() never reads names.
-  const auto task_of = [&ci](TaskId id) {
-    return Task{.id = id,
-                .comm = ci.comm(id),
-                .comp = ci.comp(id),
-                .mem = ci.mem(id),
-                .channel = ci.channel(id),
-                .name = {}};
-  };
-
   const bool dag = ci.has_dependencies();
-  std::vector<Time> floors;  // aligned with `fitting`, DAG instances only
-
+  std::vector<TaskId> pending(base_order.begin(), base_order.end());
+  detail::CandidateScratch scratch;
+  scratch.fitting.reserve(pending.size());
   while (!pending.empty()) {
+    // The static plan remains viable while its head is runnable and fits:
+    // follow it. Otherwise (blocked by memory or, on a DAG, by an
+    // unscheduled predecessor) correct with one dynamic decision.
     const TaskId head = pending.front();
-    Time head_ready = 0.0;
-    const bool head_runnable =
-        !dag || detail::deps_ready(ci, out, head, head_ready);
-    if (head_runnable && state.fits(ci.mem(head))) {
-      // The static plan remains viable: follow it.
-      const TaskTimes tt = state.start(task_of(head), head_ready);
-      out.set(head, tt.comm_start, tt.comp_start);
+    Time ready = 0.0;
+    if ((!dag || detail::deps_ready(ci, out, head, ready)) &&
+        state.fits(ci.mem(head))) {
+      detail::issue_task(ci, head, ready, state, out);
       pending.erase(pending.begin());
-      continue;
+    } else {
+      detail::dynamic_step("execute_corrected", ci, pending, criterion, state,
+                           out, scratch);
     }
-    // The head is blocked by memory (or, on a DAG, by an unscheduled
-    // predecessor): dynamic correction over the runnable fitting tasks.
-    fitting.clear();
-    floors.clear();
-    bool any_ready = !dag;
-    for (TaskId id : pending) {
-      Time ready = 0.0;
-      if (dag) {
-        if (!detail::deps_ready(ci, out, id, ready)) continue;
-        any_ready = true;
-      }
-      if (state.fits(ci.mem(id))) {
-        fitting.push_back(id);
-        if (dag) floors.push_back(ready);
-      }
-    }
-    if (fitting.empty()) {
-      if (!any_ready) {
-        detail::throw_unready_pending("execute_corrected", ci, out, pending);
-      }
-      if (!state.advance_to_next_release()) {
-        throw std::invalid_argument(
-            "execute_corrected: a pending task exceeds the memory capacity");
-      }
-      continue;
-    }
-    const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
-    const Time floor =
-        dag ? floors[static_cast<std::size_t>(
-                  std::find(fitting.begin(), fitting.end(), chosen) -
-                  fitting.begin())]
-            : 0.0;
-    const TaskTimes tt = state.start(task_of(chosen), floor);
-    out.set(chosen, tt.comm_start, tt.comp_start);
-    pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }
 }
 
@@ -105,7 +50,8 @@ Schedule schedule_corrected_with_order(const Instance& inst,
   }
   ExecutionState state(capacity, inst.num_channels());
   Schedule sched(inst.size());
-  execute_corrected(inst, base_order, criterion, state, sched);
+  execute_corrected(CompiledInstance(inst), base_order, criterion, state,
+                    sched);
   return sched;
 }
 

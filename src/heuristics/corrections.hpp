@@ -29,22 +29,11 @@ namespace dts {
 /// Paper acronym of the corrected heuristic ("OOLCMR", ...).
 [[nodiscard]] std::string_view to_corrected_acronym(DynamicCriterion c) noexcept;
 
-/// Runs the corrected policy over `base_order` on an existing engine,
-/// writing start times into `out`.
-///
-/// Convenience delegator: compiles the instance and calls the
-/// compiled-first overload below — the one home of the correction loop
-/// and its DAG gating (tools/dts_lint.py `executor-one-home`).
-void execute_corrected(const Instance& inst,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out);
-
-/// The compiled-first entry point (and the only defining body): fit-scans
-/// and correction scoring read the SoA arrays (core/compiled.hpp),
-/// dependency gating is implemented here and nowhere else. Identical
-/// schedules to the Instance delegator; repeated callers compile once and
-/// reuse.
+/// Runs the corrected policy over `base_order` (ids into `ci`) on an
+/// existing engine, writing start times into `out`. The one home of the
+/// correction loop (tools/dts_lint.py `executor-one-home`); its dynamic
+/// fallback is the step execute_dynamic takes, dependency gating
+/// included. Repeated callers compile the instance once and reuse it.
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,

@@ -18,18 +18,6 @@ std::string_view to_acronym(DynamicCriterion c) noexcept {
 namespace {
 
 /// Strictly better under the criterion (used after the idle filter).
-bool criterion_better(const Task& a, const Task& b, DynamicCriterion c) {
-  switch (c) {
-    case DynamicCriterion::kLargestComm: return a.comm > b.comm;
-    case DynamicCriterion::kSmallestComm: return a.comm < b.comm;
-    case DynamicCriterion::kMaxAcceleration:
-      return a.acceleration() > b.acceleration();
-  }
-  return false;
-}
-
-/// SoA twin of criterion_better — same comparisons over the compiled
-/// arrays (CompiledInstance::acceleration replicates Task::acceleration).
 bool criterion_better(const CompiledInstance& ci, TaskId a, TaskId b,
                       DynamicCriterion c) {
   switch (c) {
@@ -41,87 +29,8 @@ bool criterion_better(const CompiledInstance& ci, TaskId a, TaskId b,
   return false;
 }
 
-/// Rebuilds the timing-relevant fields of a task from the SoA arrays (the
-/// engine's start() only reads these; the name stays empty).
-Task soa_task(const CompiledInstance& ci, TaskId id) {
-  return Task{.id = id,
-              .comm = ci.comm(id),
-              .comp = ci.comp(id),
-              .mem = ci.mem(id),
-              .channel = ci.channel(id),
-              .name = {}};
-}
-
-}  // namespace
-
-TaskId pick_candidate(const Instance& inst, const ExecutionState& state,
-                      std::span<const TaskId> candidates,
-                      DynamicCriterion criterion) {
-  TaskId best = kInvalidTask;
-  Time best_idle = kInfiniteTime;
-  for (TaskId id : candidates) {
-    const Task& t = inst[id];
-    const Time idle = state.induced_comp_idle(t);
-    const bool strictly_less_idle = best != kInvalidTask && definitely_less(idle, best_idle);
-    const bool tied_idle = best != kInvalidTask &&
-                           !definitely_less(idle, best_idle) &&
-                           !definitely_less(best_idle, idle);
-    if (best == kInvalidTask || strictly_less_idle ||
-        (tied_idle && criterion_better(t, inst[best], criterion))) {
-      best = id;
-      best_idle = idle;
-    }
-  }
-  return best;
-}
-
-TaskId pick_candidate(const CompiledInstance& ci, const ExecutionState& state,
-                      std::span<const TaskId> candidates,
-                      DynamicCriterion criterion, std::span<const Time> ready) {
-  const Time now = state.now();
-  const Time comp_avail = state.comp_available();
-  TaskId best = kInvalidTask;
-  Time best_idle = kInfiniteTime;
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    const TaskId id = candidates[k];
-    // induced_comp_idle over the SoA arrays, same operation order:
-    // max(0, max(now, channel clock) + comm - processor-free) — floored
-    // at the candidate's predecessor completion instant when given.
-    Time start = std::max(now, state.comm_available(ci.channel(id)));
-    if (!ready.empty()) start = std::max(start, ready[k]);
-    const Time idle = std::max(0.0, start + ci.comm(id) - comp_avail);
-    const bool strictly_less_idle = best != kInvalidTask && definitely_less(idle, best_idle);
-    const bool tied_idle = best != kInvalidTask &&
-                           !definitely_less(idle, best_idle) &&
-                           !definitely_less(best_idle, idle);
-    if (best == kInvalidTask || strictly_less_idle ||
-        (tied_idle && criterion_better(ci, id, best, criterion))) {
-      best = id;
-      best_idle = idle;
-    }
-  }
-  return best;
-}
-
-void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out) {
-  const CompiledInstance ci(inst);
-  execute_dynamic(ci, ids, criterion, state, out);
-}
-
-namespace detail {
-
-bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
-                Time& ready) {
-  for (const TaskId dep : ci.deps(id)) {
-    const TaskTimes& pred = out[dep];
-    if (!pred.scheduled()) return false;
-    ready = std::max(ready, pred.comp_start + ci.comp(dep));
-  }
-  return true;
-}
-
+/// Cold error funnel for the cross-batch deadlock: every pending task
+/// waits on a predecessor that is neither pending nor scheduled.
 [[noreturn]] void throw_unready_pending(const char* who,
                                         const CompiledInstance& ci,
                                         const Schedule& out,
@@ -139,51 +48,102 @@ bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
   throw std::logic_error(std::string(who) + ": no pending task is ready");
 }
 
+}  // namespace
+
+TaskId pick_candidate(const CompiledInstance& ci, const ExecutionState& state,
+                      std::span<const TaskId> candidates,
+                      DynamicCriterion criterion, std::span<const Time> ready) {
+  const Time now = state.now();
+  const Time comp_avail = state.comp_available();
+  TaskId best = kInvalidTask;
+  Time best_idle = kInfiniteTime;
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    const TaskId id = candidates[k];
+    // Induced idle: max(0, max(now, channel clock) + comm - processor-free)
+    // — floored at the candidate's predecessor completion instant when
+    // given.
+    Time start = std::max(now, state.comm_available(ci.channel(id)));
+    if (!ready.empty()) start = std::max(start, ready[k]);
+    const Time idle = std::max(0.0, start + ci.comm(id) - comp_avail);
+    const bool strictly_less_idle = best != kInvalidTask && definitely_less(idle, best_idle);
+    const bool tied_idle = best != kInvalidTask &&
+                           !definitely_less(idle, best_idle) &&
+                           !definitely_less(best_idle, idle);
+    if (best == kInvalidTask || strictly_less_idle ||
+        (tied_idle && criterion_better(ci, id, best, criterion))) {
+      best = id;
+      best_idle = idle;
+    }
+  }
+  return best;
+}
+
+namespace detail {
+
+bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
+                Time& ready) {
+  for (const TaskId dep : ci.deps(id)) {
+    const TaskTimes& pred = out[dep];
+    if (!pred.scheduled()) return false;
+    ready = std::max(ready, pred.comp_start + ci.comp(dep));
+  }
+  return true;
+}
+
+void issue_task(const CompiledInstance& ci, TaskId id, Time ready,
+                ExecutionState& state, Schedule& out) {
+  const TaskTimes tt = state.issue(id, ci.comm(id), ci.comp(id), ci.mem(id),
+                                   ci.channel(id), ready);
+  out.set(id, tt.comm_start, tt.comp_start);
+}
+
+void dynamic_step(const char* who, const CompiledInstance& ci,
+                  std::vector<TaskId>& pending, DynamicCriterion criterion,
+                  ExecutionState& state, Schedule& out,
+                  CandidateScratch& scratch) {
+  const bool dag = ci.has_dependencies();
+  scratch.fitting.clear();
+  scratch.floors.clear();
+  bool any_ready = !dag;
+  for (TaskId id : pending) {
+    Time ready = 0.0;
+    if (dag) {
+      if (!deps_ready(ci, out, id, ready)) continue;
+      any_ready = true;
+    }
+    if (state.fits(ci.mem(id))) {
+      scratch.fitting.push_back(id);
+      if (dag) scratch.floors.push_back(ready);
+    }
+  }
+  if (scratch.fitting.empty()) {
+    if (!any_ready) throw_unready_pending(who, ci, out, pending);
+    if (!state.advance_to_next_release()) {
+      throw std::invalid_argument(
+          std::string(who) + ": a pending task exceeds the memory capacity");
+    }
+    return;
+  }
+  const TaskId chosen =
+      pick_candidate(ci, state, scratch.fitting, criterion, scratch.floors);
+  const auto pos = static_cast<std::size_t>(
+      std::find(scratch.fitting.begin(), scratch.fitting.end(), chosen) -
+      scratch.fitting.begin());
+  issue_task(ci, chosen, dag ? scratch.floors[pos] : 0.0, state, out);
+  pending.erase(std::find(pending.begin(), pending.end(), chosen));
+}
+
 }  // namespace detail
 
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, ExecutionState& state,
                      Schedule& out) {
-  const bool dag = ci.has_dependencies();
   std::vector<TaskId> pending(ids.begin(), ids.end());
-  std::vector<TaskId> fitting;
-  std::vector<Time> floors;  // aligned with `fitting`, DAG instances only
-  fitting.reserve(pending.size());
-
+  detail::CandidateScratch scratch;
+  scratch.fitting.reserve(pending.size());
   while (!pending.empty()) {
-    fitting.clear();
-    floors.clear();
-    bool any_ready = !dag;
-    for (TaskId id : pending) {
-      Time ready = 0.0;
-      if (dag) {
-        if (!detail::deps_ready(ci, out, id, ready)) continue;
-        any_ready = true;
-      }
-      if (state.fits(ci.mem(id))) {
-        fitting.push_back(id);
-        if (dag) floors.push_back(ready);
-      }
-    }
-    if (fitting.empty()) {
-      if (!any_ready) {
-        detail::throw_unready_pending("execute_dynamic", ci, out, pending);
-      }
-      if (!state.advance_to_next_release()) {
-        throw std::invalid_argument(
-            "execute_dynamic: a pending task exceeds the memory capacity");
-      }
-      continue;
-    }
-    const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
-    const Time floor =
-        dag ? floors[static_cast<std::size_t>(
-                  std::find(fitting.begin(), fitting.end(), chosen) -
-                  fitting.begin())]
-            : 0.0;
-    const TaskTimes tt = state.start(soa_task(ci, chosen), floor);
-    out.set(chosen, tt.comm_start, tt.comp_start);
-    pending.erase(std::find(pending.begin(), pending.end(), chosen));
+    detail::dynamic_step("execute_dynamic", ci, pending, criterion, state, out,
+                         scratch);
   }
 }
 
@@ -192,7 +152,7 @@ Schedule schedule_dynamic(const Instance& inst, DynamicCriterion criterion,
   ExecutionState state(capacity, inst.num_channels());
   Schedule sched(inst.size());
   const std::vector<TaskId> ids = inst.submission_order();
-  execute_dynamic(inst, ids, criterion, state, sched);
+  execute_dynamic(CompiledInstance(inst), ids, criterion, state, sched);
   return sched;
 }
 

@@ -33,18 +33,11 @@ enum class DynamicCriterion {
 /// Paper acronym of the pure dynamic heuristic ("LCMR", ...).
 [[nodiscard]] std::string_view to_acronym(DynamicCriterion c) noexcept;
 
-/// Among `candidates` (ids into `inst`, all assumed to fit in memory at the
+/// Among `candidates` (ids into `ci`, all assumed to fit in memory at the
 /// engine's current instant), returns the id preferred by the paper's rule:
-/// minimum induced processor idle first, then the criterion, ties by the
-/// earliest position in `candidates`. Returns kInvalidTask when empty.
-[[nodiscard]] TaskId pick_candidate(const Instance& inst,
-                                    const ExecutionState& state,
-                                    std::span<const TaskId> candidates,
-                                    DynamicCriterion criterion);
-
-/// Batch-scored variant over the SoA arrays of a compiled instance —
-/// identical selection (same induced-idle arithmetic and tie-breaks),
-/// without pulling whole `Task` records through the cache per candidate.
+/// minimum induced processor idle — max(0, transfer start + CM - processor
+/// free) — first, then the criterion, ties by the earliest position in
+/// `candidates`. Returns kInvalidTask when empty.
 /// `ready` (optional, aligned with `candidates`) floors each candidate's
 /// hypothetical transfer start at its predecessors' completion instant,
 /// so the induced-idle score matches what issuing it would actually do on
@@ -55,27 +48,18 @@ enum class DynamicCriterion {
                                     DynamicCriterion criterion,
                                     std::span<const Time> ready = {});
 
-/// Schedules every id in `ids` on `state` using dynamic selection, writing
-/// start times into `out`. `ids` supplies the tie-breaking priority (its
-/// order is the submission order within a batch). On a DAG instance only
-/// tasks whose predecessors have all been scheduled (in `out` — possibly
-/// by an earlier batch sharing it) are candidates, and each transfer
-/// waits for its predecessors' computations; throws std::invalid_argument
-/// when every pending task waits on a predecessor outside `ids` that was
-/// never scheduled.
+/// Schedules every id in `ids` (ids into `ci`) on `state` using dynamic
+/// selection, writing start times into `out`. `ids` supplies the
+/// tie-breaking priority (its order is the submission order within a
+/// batch). On a DAG instance only tasks whose predecessors have all been
+/// scheduled (in `out` — possibly by an earlier batch sharing it) are
+/// candidates, and each transfer waits for its predecessors'
+/// computations; throws std::invalid_argument when every pending task
+/// waits on a predecessor outside `ids` that was never scheduled.
 ///
-/// Convenience delegator: compiles the instance and calls the
-/// compiled-first overload below — the *one* home of the scheduling loop
-/// and its DAG gating (tools/dts_lint.py `executor-one-home` keeps it
-/// that way). Repeated callers (the batch scheduler) compile once and
-/// call the compiled overload directly.
-void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out);
-
-/// The compiled-first entry point (and the only defining body): candidate
-/// fit-scans and idle scoring read the SoA arrays, dependency gating is
-/// implemented here and nowhere else.
+/// The one home of the scheduling loop and its dependency gating
+/// (tools/dts_lint.py `executor-one-home` keeps it that way); callers
+/// compile the instance once and reuse it.
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, ExecutionState& state,
                      Schedule& out);
@@ -89,17 +73,31 @@ namespace detail {
 
 /// Predecessor readiness of `id` against the starts recorded in `out`:
 /// false when a predecessor is unscheduled, otherwise raises `ready` to
-/// the latest predecessor computation end. Shared by the dynamic and
-/// corrected executors (DAG instances only).
+/// the latest predecessor computation end (DAG instances only).
 bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
                 Time& ready);
 
-/// Cold error funnel for the cross-batch deadlock: every pending task
-/// waits on a predecessor that is neither pending nor scheduled.
-[[noreturn]] void throw_unready_pending(const char* who,
-                                        const CompiledInstance& ci,
-                                        const Schedule& out,
-                                        std::span<const TaskId> pending);
+/// Issues task `id` of `ci` on `state` with transfer floor `ready` and
+/// records its start times in `out`.
+void issue_task(const CompiledInstance& ci, TaskId id, Time ready,
+                ExecutionState& state, Schedule& out);
+
+/// Candidate buffers reused across dynamic_step calls.
+struct CandidateScratch {
+  std::vector<TaskId> fitting;
+  std::vector<Time> floors;  ///< aligned with `fitting`, DAG instances only
+};
+
+/// One dynamic decision over `pending` (the executor shared by the
+/// dynamic and corrected heuristics): issues the runnable fitting task
+/// pick_candidate prefers and erases it from `pending`, or — when nothing
+/// runnable fits — advances the engine to the next memory release.
+/// Throws std::invalid_argument, prefixed with `who`, when no pending
+/// task can ever run.
+void dynamic_step(const char* who, const CompiledInstance& ci,
+                  std::vector<TaskId>& pending, DynamicCriterion criterion,
+                  ExecutionState& state, Schedule& out,
+                  CandidateScratch& scratch);
 
 }  // namespace detail
 

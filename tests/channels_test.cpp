@@ -176,8 +176,8 @@ TEST(SingleChannelParity, ExplicitSingleChannelSetTakesTheLegacyPath) {
 
 TEST(MultiChannelEngine, OppositeDirectionsOverlap) {
   ExecutionState s(kInfiniteMem, 2);
-  const TaskTimes in = s.start(channel_task(kChannelH2D, 5, 2, 1));
-  const TaskTimes out = s.start(channel_task(kChannelD2H, 3, 0, 1));
+  const TaskTimes in = s.issue(0, 5, 2, 1, kChannelH2D);
+  const TaskTimes out = s.issue(1, 3, 0, 1, kChannelD2H);
   EXPECT_DOUBLE_EQ(in.comm_start, 0.0);
   EXPECT_DOUBLE_EQ(out.comm_start, 0.0);  // D2H engine was never busy
   EXPECT_DOUBLE_EQ(s.comm_available(kChannelH2D), 5.0);
@@ -186,8 +186,8 @@ TEST(MultiChannelEngine, OppositeDirectionsOverlap) {
 
 TEST(MultiChannelEngine, SameChannelSerializes) {
   ExecutionState s(kInfiniteMem, 2);
-  s.start(channel_task(kChannelH2D, 5, 0, 1));
-  const TaskTimes second = s.start(channel_task(kChannelH2D, 2, 0, 1));
+  s.issue(0, 5, 0, 1, kChannelH2D);
+  const TaskTimes second = s.issue(1, 2, 0, 1, kChannelH2D);
   EXPECT_DOUBLE_EQ(second.comm_start, 5.0);
 }
 
@@ -207,16 +207,15 @@ TEST(MultiChannelEngine, MemoryGatesAcrossChannelsNotTransfers) {
 
 TEST(MultiChannelEngine, RejectsUnknownChannel) {
   ExecutionState s(kInfiniteMem, 1);
-  EXPECT_THROW((void)s.start(channel_task(1, 1, 1, 0)), std::out_of_range);
+  EXPECT_THROW((void)s.issue(0, 1, 1, 0, 1), std::out_of_range);
 }
 
 TEST(MultiChannelEngine, SnapshotRoundTripKeepsChannelClocks) {
   ExecutionState s(kInfiniteMem, 2);
-  s.start(channel_task(kChannelH2D, 5, 2, 1));
-  s.start(channel_task(kChannelD2H, 3, 0, 1));
+  s.issue(0, 5, 2, 1, kChannelH2D);
+  s.issue(1, 3, 0, 1, kChannelD2H);
   const ExecutionState::Snapshot snap = s.snapshot();
   ASSERT_EQ(snap.comm_available.size(), 2u);
-  EXPECT_THROW((void)snap.single_link_available(), std::logic_error);
   ExecutionState r(kInfiniteMem, snap);
   EXPECT_EQ(r.num_channels(), 2u);
   EXPECT_DOUBLE_EQ(r.comm_available(kChannelH2D), 5.0);

@@ -1,20 +1,28 @@
 /// \file fast_path_parity_test.cpp
-/// Bit-for-bit parity of the data-oriented fast path (core/compiled.hpp)
-/// against the reference engine. Every comparison here is EXACT double
-/// equality, not epsilon-based: the fast path promises the same
-/// floating-point operation sequence as ExecutionState, so even the last
-/// ulp must agree.
+/// Bit-for-bit parity of the execution engine — `ExecutionState` driven
+/// through `execute_order`, and the compiled `evaluate_order` /
+/// `PrefixResumeEvaluator` path built on it — against golden records and
+/// against from-scratch evaluation. Every comparison here is EXACT double
+/// equality, not epsilon-based: even the last ulp must agree.
 ///
-/// The oracle is always the raw reference engine — ExecutionState +
-/// execute_order + Schedule::makespan. It must NOT be simulate_order /
-/// makespan_of_order: those are re-expressed on top of evaluate_order, so
-/// comparing against them would be circular.
+/// The seeded-corpus suites compare against tests/golden/
+/// fast_path_parity.golden: the makespan, final engine state and every
+/// start time (%.17g) that the independent reference engine produced for
+/// each case before the two engines were merged into one. One line per
+/// case: suite, case index, makespan, now, comp_available,
+/// comm_available, used_memory, active_tasks, the issued-task count k,
+/// then k triples (id, comm_start, comp_start) in issue order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled.hpp"
@@ -68,12 +76,85 @@ Mem capacity_for(const Instance& inst, int regime) {
   }
 }
 
-/// Reference makespan + engine: raw ExecutionState path, independent of
-/// the fast path under test.
-Time oracle_makespan(const Instance& inst, std::span<const TaskId> order,
-                     ExecutionState& state, Schedule& sched) {
+/// One recorded case of the golden file.
+struct GoldenCase {
+  Time makespan = 0.0;
+  Time now = 0.0;
+  Time comp_available = 0.0;
+  Time comm_available = 0.0;
+  Mem used_memory = 0.0;
+  std::size_t active_tasks = 0;
+  std::vector<TaskId> issued;
+  std::vector<TaskTimes> starts;  ///< aligned with `issued`
+};
+
+using GoldenKey = std::pair<std::string, int>;
+
+const std::map<GoldenKey, GoldenCase>& goldens() {
+  static const std::map<GoldenKey, GoldenCase> table = [] {
+    std::map<GoldenKey, GoldenCase> cases;
+    std::ifstream in(DTS_TEST_GOLDEN_DIR "/fast_path_parity.golden");
+    if (!in) throw std::runtime_error("cannot open fast_path_parity.golden");
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      GoldenKey key;
+      GoldenCase g;
+      std::size_t k = 0;
+      fields >> key.first >> key.second >> g.makespan >> g.now >>
+          g.comp_available >> g.comm_available >> g.used_memory >>
+          g.active_tasks >> k;
+      g.issued.reserve(k);
+      g.starts.reserve(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        TaskId id = 0;
+        TaskTimes tt;
+        fields >> id >> tt.comm_start >> tt.comp_start;
+        g.issued.push_back(id);
+        g.starts.push_back(tt);
+      }
+      if (!fields) throw std::runtime_error("malformed golden line: " + line);
+      cases.emplace(std::move(key), std::move(g));
+    }
+    return cases;
+  }();
+  return table;
+}
+
+const GoldenCase& golden(const char* suite, int iter) {
+  return goldens().at(GoldenKey(suite, iter));
+}
+
+/// The engine's final state must match the record, not just the makespan:
+/// batch and exact callers read these for carried state and tie-breaks.
+void expect_state(const GoldenCase& g, const ExecutionState& state,
+                  int iter) {
+  ASSERT_EQ(g.comp_available, state.comp_available()) << iter;
+  ASSERT_EQ(g.comm_available, state.comm_available()) << iter;
+  ASSERT_EQ(g.now, state.now()) << iter;
+  ASSERT_EQ(g.used_memory, state.used_memory()) << iter;
+  ASSERT_EQ(g.active_tasks, state.active_tasks()) << iter;
+}
+
+void expect_starts(const GoldenCase& g, const Schedule& sched, int iter) {
+  for (std::size_t i = 0; i < g.issued.size(); ++i) {
+    const TaskId id = g.issued[i];
+    const TaskTimes& want = g.starts[i];
+    ASSERT_EQ(want.comm_start, sched[id].comm_start) << iter << ' ' << id;
+    ASSERT_EQ(want.comp_start, sched[id].comp_start) << iter << ' ' << id;
+  }
+}
+
+/// execute_order on a fresh engine, checked against the record in full.
+void expect_execute_order(const GoldenCase& g, const Instance& inst,
+                          std::span<const TaskId> order, Mem capacity,
+                          int iter) {
+  ExecutionState state(capacity, inst.num_channels());
+  Schedule sched(inst.size());
   execute_order(inst, order, state, sched);
-  return sched.makespan(inst);
+  ASSERT_EQ(g.makespan, sched.makespan(inst)) << iter;
+  expect_state(g, state, iter);
+  expect_starts(g, sched, iter);
 }
 
 TEST(FastPathParity, EvaluateOrderMatchesReferenceEngineBitForBit) {
@@ -85,22 +166,14 @@ TEST(FastPathParity, EvaluateOrderMatchesReferenceEngineBitForBit) {
     const Instance inst = random_channel_instance(rng, n, channels);
     const Mem capacity = capacity_for(inst, static_cast<int>(rng.index(3)));
     const std::vector<TaskId> order = shuffled_order(rng, inst);
-
-    ExecutionState state(capacity, inst.num_channels());
-    Schedule sched(inst.size());
-    const Time want = oracle_makespan(inst, order, state, sched);
+    const GoldenCase& g = golden("evaluate-order", iter);
+    ASSERT_EQ(g.issued, order) << "corpus drifted from the golden at " << iter;
 
     const CompiledInstance ci(inst);
-    const Time got = evaluate_order(ci, order, capacity, scratch);
-    ASSERT_EQ(want, got) << "iter " << iter;
-
-    // The full engine state must match, not just the makespan: batch and
-    // exact callers read these for carried state and tie-breaks.
-    ASSERT_EQ(state.comp_available(), scratch.comp_available()) << iter;
-    ASSERT_EQ(state.comm_available(), scratch.comm_available()) << iter;
-    ASSERT_EQ(state.now(), scratch.now()) << iter;
-    ASSERT_EQ(state.used_memory(), scratch.used_memory()) << iter;
-    ASSERT_EQ(state.active_tasks(), scratch.active_tasks()) << iter;
+    ASSERT_EQ(g.makespan, evaluate_order(ci, order, capacity, scratch))
+        << "iter " << iter;
+    expect_state(g, scratch.state(), iter);
+    expect_execute_order(g, inst, order, capacity, iter);
   }
 }
 
@@ -113,26 +186,22 @@ TEST(FastPathParity, RecordingOverloadMatchesExecuteOrderSchedules) {
                                                   channels);
     const Mem capacity = capacity_for(inst, static_cast<int>(rng.index(3)));
     const std::vector<TaskId> order = shuffled_order(rng, inst);
-
-    ExecutionState state(capacity, inst.num_channels());
-    Schedule want(inst.size());
-    execute_order(inst, order, state, want);
+    const GoldenCase& g = golden("recording-overload", iter);
+    ASSERT_EQ(g.issued, order) << "corpus drifted from the golden at " << iter;
 
     const CompiledInstance ci(inst);
     Schedule got(inst.size());
-    const Time ms = evaluate_order(ci, order, capacity, scratch, got);
-    ASSERT_EQ(want.makespan(inst), ms) << iter;
-    for (TaskId id = 0; id < inst.size(); ++id) {
-      ASSERT_EQ(want[id].comm_start, got[id].comm_start) << iter << " " << id;
-      ASSERT_EQ(want[id].comp_start, got[id].comp_start) << iter << " " << id;
-    }
+    ASSERT_EQ(g.makespan, evaluate_order(ci, order, capacity, scratch, got))
+        << iter;
+    expect_starts(g, got, iter);
+    expect_execute_order(g, inst, order, capacity, iter);
   }
 }
 
 TEST(FastPathParity, CarriedSnapshotsMatchMidStream) {
-  // Split an order in two, run the first half on the reference engine,
-  // snapshot, and verify the fast path replays the second half from that
-  // snapshot exactly as a restored ExecutionState does.
+  // Split an order in two, run the first half, snapshot, and verify both
+  // entry points replay the second half from that snapshot exactly as
+  // recorded.
   Rng rng(31337);
   EvalScratch scratch;
   for (int iter = 0; iter < 200; ++iter) {
@@ -145,6 +214,10 @@ TEST(FastPathParity, CarriedSnapshotsMatchMidStream) {
     const std::span<const TaskId> head(order.data(), cut);
     const std::span<const TaskId> tail(order.data() + cut,
                                        order.size() - cut);
+    const GoldenCase& g = golden("carried-snapshot", iter);
+    ASSERT_TRUE(std::equal(tail.begin(), tail.end(), g.issued.begin(),
+                           g.issued.end()))
+        << "corpus drifted from the golden at " << iter;
 
     ExecutionState warmup(capacity, inst.num_channels());
     Schedule partial(inst.size());
@@ -154,18 +227,16 @@ TEST(FastPathParity, CarriedSnapshotsMatchMidStream) {
     ExecutionState resumed(capacity, snap);
     Schedule want(inst.size());
     execute_order(inst, tail, resumed, want);
+    expect_state(g, resumed, iter);
+    expect_starts(g, want, iter);
 
     const CompiledInstance ci(inst);
     Schedule got(inst.size());
-    (void)evaluate_order(ci, tail, capacity, scratch, got, &snap);
-    for (const TaskId id : tail) {
-      ASSERT_EQ(want[id].comm_start, got[id].comm_start) << iter << " " << id;
-      ASSERT_EQ(want[id].comp_start, got[id].comp_start) << iter << " " << id;
-    }
-    ASSERT_EQ(resumed.comp_available(), scratch.comp_available()) << iter;
-    ASSERT_EQ(resumed.comm_available(), scratch.comm_available()) << iter;
-    ASSERT_EQ(resumed.now(), scratch.now()) << iter;
-    ASSERT_EQ(resumed.used_memory(), scratch.used_memory()) << iter;
+    ASSERT_EQ(g.makespan,
+              evaluate_order(ci, tail, capacity, scratch, got, &snap))
+        << iter;
+    expect_state(g, scratch.state(), iter);
+    expect_starts(g, got, iter);
   }
 }
 
@@ -274,33 +345,76 @@ TEST(FastPathParity, ErrorPathsMatchTheReferenceEngine) {
   const std::vector<TaskId> order = inst.submission_order();
   EvalScratch scratch;
 
-  // Negative capacity: same exception type as ExecutionState's ctor.
+  // Negative capacity: the engine's restore rejects it on both paths.
   EXPECT_THROW((void)evaluate_order(ci, order, -1.0, scratch),
                std::invalid_argument);
+  EXPECT_THROW(ExecutionState(-1.0), std::invalid_argument);
 
-  // A task that can never fit: identical type AND message (callers print
-  // these; the fast path must not degrade the diagnostics).
+  // A task that can never fit: identical type AND message on both entry
+  // points (callers print these; the diagnostics must not degrade).
   const Mem tiny = 3.0;  // task 1 needs mem 4 (mem == comm here)
-  std::string want;
+  const std::string want =
+      "execute_order: task 1 requires 4.000000 bytes but capacity is "
+      "3.000000";
   try {
     ExecutionState state(tiny, inst.num_channels());
     Schedule sched(inst.size());
     execute_order(inst, order, state, sched);
-    FAIL() << "reference engine accepted an infeasible task";
+    FAIL() << "execute_order accepted an infeasible task";
   } catch (const std::invalid_argument& e) {
-    want = e.what();
+    EXPECT_EQ(want, e.what());
   }
   try {
     (void)evaluate_order(ci, order, tiny, scratch);
-    FAIL() << "fast path accepted an infeasible task";
+    FAIL() << "evaluate_order accepted an infeasible task";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(want, e.what());
   }
 
-  // Unknown task id: out_of_range, as the reference path's .at() throws.
+  // Unknown task id and unknown channel: out_of_range with exact texts.
   const std::vector<TaskId> bogus = {0, 7};
-  EXPECT_THROW((void)evaluate_order(ci, bogus, 100.0, scratch),
-               std::out_of_range);
+  try {
+    (void)evaluate_order(ci, bogus, 100.0, scratch);
+    FAIL() << "evaluate_order accepted an unknown task";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(
+        "evaluate_order: task id 7 out of range (instance has 2 tasks)",
+        e.what());
+  }
+  ExecutionState one_link(100.0, 1);
+  try {
+    (void)one_link.issue(5, 1.0, 1.0, 1.0, 1);
+    FAIL() << "the engine accepted an unknown channel";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ("evaluate_order: task 5 names channel 1 but the engine "
+                 "tracks 1",
+                 e.what());
+  }
+
+  // Issuing a successor before its predecessor: invalid_argument with the
+  // same text on both entry points.
+  std::vector<Task> chain = {Task{.comm = 1, .comp = 1, .mem = 1, .name = {}},
+                             Task{.comm = 1, .comp = 1, .mem = 1, .name = {}}};
+  chain[1].deps = {0};
+  const Instance dag(std::move(chain));
+  const CompiledInstance dag_ci(dag);
+  const std::vector<TaskId> backwards = {1, 0};
+  const char* const unissued =
+      "execute_order: task 1 issued before its predecessor 0";
+  try {
+    (void)evaluate_order(dag_ci, backwards, 100.0, scratch);
+    FAIL() << "evaluate_order issued a task before its predecessor";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(unissued, e.what());
+  }
+  try {
+    ExecutionState state(100.0, dag.num_channels());
+    Schedule sched(dag.size());
+    execute_order(dag, backwards, state, sched);
+    FAIL() << "execute_order issued a task before its predecessor";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(unissued, e.what());
+  }
 
   // A failed set_reference invalidates the reference instead of leaving
   // half-recorded checkpoints behind.
@@ -310,26 +424,19 @@ TEST(FastPathParity, ErrorPathsMatchTheReferenceEngine) {
 }
 
 TEST(FastPathParity, ReexpressedEntryPointsStillAgreeWithTheOracle) {
-  // simulate_order/makespan_of_order now run on the fast path; pin them
-  // against the raw engine too so a regression cannot hide behind the
-  // re-expression.
+  // simulate_order/makespan_of_order run on the compiled path; pin them
+  // against the golden record too.
   Rng rng(8);
   for (int iter = 0; iter < 50; ++iter) {
     const Instance inst = random_channel_instance(rng, 2 + rng.index(10),
                                                   1 + rng.index(3));
     const Mem capacity = capacity_for(inst, static_cast<int>(rng.index(3)));
     const std::vector<TaskId> order = shuffled_order(rng, inst);
+    const GoldenCase& g = golden("reexpressed-entry-points", iter);
+    ASSERT_EQ(g.issued, order) << "corpus drifted from the golden at " << iter;
 
-    ExecutionState state(capacity, inst.num_channels());
-    Schedule want(inst.size());
-    const Time oracle = oracle_makespan(inst, order, state, want);
-
-    ASSERT_EQ(oracle, makespan_of_order(inst, order, capacity)) << iter;
-    const Schedule got = simulate_order(inst, order, capacity);
-    for (TaskId id = 0; id < inst.size(); ++id) {
-      ASSERT_EQ(want[id].comm_start, got[id].comm_start) << iter << " " << id;
-      ASSERT_EQ(want[id].comp_start, got[id].comp_start) << iter << " " << id;
-    }
+    ASSERT_EQ(g.makespan, makespan_of_order(inst, order, capacity)) << iter;
+    expect_starts(g, simulate_order(inst, order, capacity), iter);
   }
 }
 

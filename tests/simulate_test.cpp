@@ -4,14 +4,18 @@
 
 #include <stdexcept>
 
+#include "core/compiled.hpp"
 #include "core/johnson.hpp"
+#include "heuristics/dynamic.hpp"
 #include "test_util.hpp"
 
 namespace dts {
 namespace {
 
-Task make_task(Time comm, Time comp, Mem mem) {
-  return Task{.id = 0, .comm = comm, .comp = comp, .mem = mem, .name = {}};
+/// Issues a one-channel task with the given costs (the id only labels
+/// diagnostics).
+TaskTimes issue(ExecutionState& s, Time comm, Time comp, Mem mem) {
+  return s.issue(0, comm, comp, mem, 0);
 }
 
 TEST(ExecutionState, FreshStateIsEmpty) {
@@ -27,8 +31,7 @@ TEST(ExecutionState, RejectsNegativeCapacity) {
 
 TEST(ExecutionState, StartAdvancesLinkAndQueuesComp) {
   ExecutionState s(10.0);
-  const Task t = make_task(3, 4, 5);
-  const TaskTimes tt = s.start(t);
+  const TaskTimes tt = issue(s, 3, 4, 5);
   EXPECT_DOUBLE_EQ(tt.comm_start, 0.0);
   EXPECT_DOUBLE_EQ(tt.comp_start, 3.0);
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
@@ -38,7 +41,7 @@ TEST(ExecutionState, StartAdvancesLinkAndQueuesComp) {
 
 TEST(ExecutionState, MemoryReleasedAtComputeEnd) {
   ExecutionState s(10.0);
-  s.start(make_task(3, 4, 5));
+  issue(s, 3, 4, 5);
   EXPECT_TRUE(s.advance_to_next_release());
   EXPECT_DOUBLE_EQ(s.now(), 7.0);
   EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
@@ -47,56 +50,63 @@ TEST(ExecutionState, MemoryReleasedAtComputeEnd) {
 
 TEST(ExecutionState, FitsRespectsCapacity) {
   ExecutionState s(10.0);
-  s.start(make_task(2, 10, 6));
-  EXPECT_TRUE(s.fits(make_task(1, 1, 4)));
-  EXPECT_FALSE(s.fits(make_task(1, 1, 4.5)));
+  issue(s, 2, 10, 6);
+  EXPECT_TRUE(s.fits(4));
+  EXPECT_FALSE(s.fits(4.5));
 }
 
 TEST(ExecutionState, StartThrowsWhenNotFitting) {
+  // Issuing waits for memory: a footprint that does not fit now starts at
+  // the release that makes room, and one that can never fit throws.
   ExecutionState s(10.0);
-  s.start(make_task(2, 10, 6));
-  EXPECT_THROW((void)s.start(make_task(1, 1, 5)), std::logic_error);
+  issue(s, 2, 10, 6);  // holds 6 until t=12
+  const TaskTimes waited = issue(s, 1, 1, 5);
+  EXPECT_DOUBLE_EQ(waited.comm_start, 12.0);
+  EXPECT_THROW((void)issue(s, 1, 1, 11), std::invalid_argument);
 }
 
 TEST(ExecutionState, ZeroComputationReleasesImmediately) {
   ExecutionState s(10.0);
-  s.start(make_task(4, 0, 9));
+  issue(s, 4, 0, 9);
   // comp runs [4,4): by the time the link is free again the memory is gone.
   EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
   EXPECT_EQ(s.active_tasks(), 0u);
 }
 
 TEST(ExecutionState, InducedIdleComputation) {
-  ExecutionState s(20.0);
-  s.start(make_task(2, 10, 1));  // processor busy until 12, link free at 2
-  // A task with comm 4 would arrive at 6 < 12: no induced idle.
-  EXPECT_DOUBLE_EQ(s.induced_comp_idle(make_task(4, 1, 1)), 0.0);
-  // A task with comm 15 would arrive at 17: 5 units of idle.
-  EXPECT_DOUBLE_EQ(s.induced_comp_idle(make_task(15, 1, 1)), 5.0);
+  // Processor busy until 12, link free at 2: a comm-4 task would arrive at
+  // 6 < 12 (no induced idle), a comm-15 task at 17 (5 units of idle). The
+  // idle filter outranks the largest-comm criterion.
+  const Instance inst = Instance::from_comm_comp({{2, 10}, {4, 1}, {15, 1}});
+  const CompiledInstance ci(inst);
+  ExecutionState s(kInfiniteMem);
+  s.issue(0, ci.comm(0), ci.comp(0), ci.mem(0), ci.channel(0));
+  const std::vector<TaskId> both{2, 1};
+  EXPECT_EQ(pick_candidate(ci, s, both, DynamicCriterion::kLargestComm), 1u);
 }
 
-TEST(ExecutionState, AdvanceToReleasesPassedWork) {
+TEST(ExecutionState, ReadyFloorDelaysTheTransfer) {
   ExecutionState s(10.0);
-  s.start(make_task(1, 2, 5));  // comp ends at 3
-  s.advance_to(2.5);
-  EXPECT_DOUBLE_EQ(s.used_memory(), 5.0);
-  s.advance_to(3.0);
-  EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
-  // Time never moves backwards.
-  s.advance_to(1.0);
-  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  issue(s, 1, 2, 5);  // comp [1,3), link free at 1
+  // A floor past the link clock delays the start and releases memory
+  // finishing in the waited gap.
+  const TaskTimes tt = s.issue(1, 1, 1, 1, 0, 4.0);
+  EXPECT_DOUBLE_EQ(tt.comm_start, 4.0);
+  EXPECT_DOUBLE_EQ(tt.comp_start, 5.0);
+  EXPECT_DOUBLE_EQ(s.used_memory(), 1.0);  // task 0 released at 3
 }
 
 TEST(ExecutionState, SnapshotRoundTrip) {
   ExecutionState s(10.0);
-  s.start(make_task(2, 8, 4));  // active until 10
-  s.start(make_task(3, 1, 3));  // comp [10,11): active until 11
+  issue(s, 2, 8, 4);  // active until 10
+  issue(s, 3, 1, 3);  // comp [10,11): active until 11
   const ExecutionState::Snapshot snap = s.snapshot();
   ExecutionState r(10.0, snap);
   EXPECT_DOUBLE_EQ(r.comm_available(), s.comm_available());
   EXPECT_DOUBLE_EQ(r.comp_available(), s.comp_available());
   EXPECT_DOUBLE_EQ(r.used_memory(), s.used_memory());
   EXPECT_EQ(r.active_tasks(), s.active_tasks());
+  EXPECT_TRUE(r == s);
 }
 
 TEST(ExecutionState, SnapshotDropsFinishedEntries) {

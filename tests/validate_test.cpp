@@ -122,5 +122,31 @@ TEST(Validate, ReportSummaryMentionsViolations) {
   EXPECT_NE(r.summary().find("violation"), std::string::npos);
 }
 
+TEST(Validate, MemoryReleaseWithinEpsilonOfTheNextStartIsFeasible) {
+  // Two tasks whose footprints together exceed the capacity: the second
+  // transfer may start only once the first computation has released its
+  // memory. The engine releases an allocation whose end is approx_leq the
+  // decision instant, so an end a rounding error past the start is free.
+  std::vector<Task> tasks = {
+      Task{.comm = 1, .comp = 1, .mem = 4, .name = {}},
+      Task{.comm = 1, .comp = 1, .mem = 4, .name = {}}};
+  const Instance inst(std::move(tasks));
+  const Mem capacity = 4.0;
+  Schedule within(2);
+  within.set(0, 0.0, 1.0 + 1e-10);  // holds memory until 2 + 1e-10
+  within.set(1, 2.0, 3.0);
+  EXPECT_TRUE(validate_schedule(inst, within, capacity).ok())
+      << validate_schedule(inst, within, capacity).summary();
+  EXPECT_DOUBLE_EQ(peak_memory(inst, within), 4.0);
+
+  Schedule overlap(2);
+  overlap.set(0, 0.0, 1.0);          // holds memory until 2
+  overlap.set(1, 2.0 - 1e-6, 3.0);   // a genuine overlap
+  const ValidationReport report = validate_schedule(inst, overlap, capacity);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.violations.front().kind, Violation::Kind::kMemoryExceeded);
+  EXPECT_DOUBLE_EQ(report.peak_memory, 8.0);
+}
+
 }  // namespace
 }  // namespace dts

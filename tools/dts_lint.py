@@ -400,7 +400,8 @@ EXECUTOR_HOMES = {
     "execute_dynamic": "src/heuristics/dynamic.cpp",
     "execute_corrected": "src/heuristics/corrections.cpp",
 }
-EXECUTOR_LOGIC_TOKENS = ("pick_candidate", ".start(", "deps_ready")
+EXECUTOR_LOGIC_TOKENS = ("pick_candidate", "dynamic_step", ".issue(",
+                         "deps_ready")
 
 
 def check_executor_one_home(path: str, raw: str, code: str):
