@@ -383,10 +383,20 @@ int cmd_solve(const CommandLine& cmd, std::ostream& out,
   }
   if (!res.outcomes.empty()) {
     const bool batch_mode = res.outcomes.front().makespan == kInfiniteTime;
-    TextTable table({"candidate", batch_mode ? "batch wins" : "makespan"});
+    // Per-candidate wall time, where the solver measured it (auto).
+    const bool timed = std::any_of(
+        res.outcomes.begin(), res.outcomes.end(),
+        [](const CandidateOutcome& o) { return o.wall_seconds > 0.0; });
+    std::vector<std::string> header{"candidate",
+                                    batch_mode ? "batch wins" : "makespan"};
+    if (timed) header.emplace_back("ms");
+    TextTable table(std::move(header));
     for (const CandidateOutcome& o : res.outcomes) {
-      table.add_row({o.name, batch_mode ? std::to_string(o.batch_wins)
-                                        : format_seconds(o.makespan)});
+      std::vector<std::string> row{o.name,
+                                   batch_mode ? std::to_string(o.batch_wins)
+                                              : format_seconds(o.makespan)};
+      if (timed) row.push_back(format_fixed(1e3 * o.wall_seconds, 2));
+      table.add_row(std::move(row));
     }
     out << table.to_ascii();
   }

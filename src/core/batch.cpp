@@ -76,10 +76,12 @@ namespace {
 /// Schedules one batch with `id`, continuing from `state`. `ci` is the
 /// compiled form of `inst`, built once per solve so the dynamic and
 /// corrected branches score candidates over the SoA arrays instead of
-/// recompiling (or chasing Task records) per batch.
+/// recompiling (or chasing Task records) per batch; `scratch` keeps their
+/// candidate-index buffers across batches.
 void run_batch(HeuristicId id, const Instance& inst,
                const CompiledInstance& ci, std::span<const TaskId> ids,
-               Mem capacity, ExecutionState& state, Schedule& sched) {
+               Mem capacity, ExecutionState& state, Schedule& sched,
+               detail::CandidateScratch& scratch) {
   switch (info(id).category) {
     case HeuristicCategory::kBaseline:
     case HeuristicCategory::kStatic: {
@@ -92,7 +94,7 @@ void run_batch(HeuristicId id, const Instance& inst,
           id == HeuristicId::kLCMR   ? DynamicCriterion::kLargestComm
           : id == HeuristicId::kSCMR ? DynamicCriterion::kSmallestComm
                                      : DynamicCriterion::kMaxAcceleration;
-      execute_dynamic(ci, ids, crit, state, sched);
+      execute_dynamic(ci, ids, crit, state, sched, scratch);
       break;
     }
     case HeuristicCategory::kCorrected: {
@@ -103,7 +105,7 @@ void run_batch(HeuristicId id, const Instance& inst,
       // Base order: Johnson restricted to this batch.
       const std::vector<TaskId> base =
           order_for_batch(HeuristicId::kOOSIM, inst, ids, capacity);
-      execute_corrected(ci, base, crit, state, sched);
+      execute_corrected(ci, base, crit, state, sched, scratch);
       break;
     }
   }
@@ -120,11 +122,12 @@ Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
   const CompiledInstance compiled(inst);
   ExecutionState state(capacity, inst.num_channels());
   Schedule sched(inst.size());
+  detail::CandidateScratch scratch;
 
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
-    run_batch(id, inst, compiled, ids, capacity, state, sched);
+    run_batch(id, inst, compiled, ids, capacity, state, sched, scratch);
   }
   return sched;
 }
@@ -158,6 +161,7 @@ BatchAutoResult schedule_in_batches_auto(
     Time end = kInfiniteTime;
     Time link = kInfiniteTime;
     ExecutionState::Snapshot state;
+    detail::CandidateScratch scratch;
   };
   std::vector<Trial> trials(candidates.size());
   for (Trial& trial : trials) trial.schedule = Schedule(inst.size());
@@ -170,7 +174,7 @@ BatchAutoResult schedule_in_batches_auto(
       ExecutionState state(capacity, carried);
       Trial& trial = trials[k];
       run_batch(candidates[k], inst, compiled, ids, capacity, state,
-                trial.schedule);
+                trial.schedule, trial.scratch);
       trial.end = state.comp_available();
       trial.link = state.comm_available();
       trial.state = state.snapshot();

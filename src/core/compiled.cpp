@@ -45,6 +45,7 @@ CompiledInstance::CompiledInstance(const Instance& inst)
     channel_.push_back(t.channel);
   }
   dep_offsets_.assign(n + 1, 0);
+  succ_offsets_.assign(n + 1, 0);
   if (has_dependencies_) {
     for (std::size_t id = 0; id < n; ++id) {
       dep_offsets_[id + 1] = dep_offsets_[id] + inst[id].deps.size();
@@ -52,6 +53,18 @@ CompiledInstance::CompiledInstance(const Instance& inst)
     dep_edges_.reserve(dep_offsets_[n]);
     for (const Task& t : inst) {
       dep_edges_.insert(dep_edges_.end(), t.deps.begin(), t.deps.end());
+    }
+    for (const TaskId dep : dep_edges_) ++succ_offsets_[dep + 1];
+    for (std::size_t id = 0; id < n; ++id) {
+      succ_offsets_[id + 1] += succ_offsets_[id];
+    }
+    succ_edges_.resize(dep_edges_.size());
+    std::vector<std::size_t> fill(succ_offsets_.begin(),
+                                  succ_offsets_.end() - 1);
+    for (std::size_t id = 0; id < n; ++id) {
+      for (const TaskId dep : deps(static_cast<TaskId>(id))) {
+        succ_edges_[fill[dep]++] = static_cast<TaskId>(id);
+      }
     }
   }
 }

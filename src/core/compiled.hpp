@@ -84,6 +84,15 @@ class CompiledInstance {
         .subspan(dep_offsets_[id], dep_offsets_[id + 1] - dep_offsets_[id]);
   }
 
+  /// Successor ids of `id` (the tasks listing it among their deps, by
+  /// increasing id) — the reverse CSR the dynamic heuristics' readiness
+  /// counts walk. Empty on edge-free instances.
+  [[nodiscard]] std::span<const TaskId> successors(TaskId id) const noexcept {
+    return std::span<const TaskId>(succ_edges_)
+        .subspan(succ_offsets_[id],
+                 succ_offsets_[id + 1] - succ_offsets_[id]);
+  }
+
  private:
   std::vector<Time> comm_;
   std::vector<Time> comp_;
@@ -93,6 +102,10 @@ class CompiledInstance {
   /// dep_edges_[dep_offsets_[id] .. dep_offsets_[id + 1]).
   std::vector<TaskId> dep_edges_;
   std::vector<std::size_t> dep_offsets_;
+  /// Reverse edges, same layout: task `id` owns
+  /// succ_edges_[succ_offsets_[id] .. succ_offsets_[id + 1]).
+  std::vector<TaskId> succ_edges_;
+  std::vector<std::size_t> succ_offsets_;
   std::size_t n_channels_ = 1;
   Mem min_capacity_ = 0.0;
   bool has_dependencies_ = false;

@@ -224,6 +224,10 @@ struct CandidateOutcome {
   std::string name;
   Time makespan = kInfiniteTime;
   std::size_t batch_wins = 0;
+  /// Wall-clock seconds this candidate's run took (auto's full-instance
+  /// candidates; 0 where not measured). Display only: never on the wire,
+  /// in the cache key or in the request digest.
+  double wall_seconds = 0.0;
 };
 
 /// Everything a solve produced.

@@ -6,6 +6,7 @@
 /// free function, so solve() reproduces the legacy makespans bit-for-bit.
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -137,10 +138,15 @@ class AutoSolver final : public Solver {
     SolveResult result;
     std::vector<Schedule> schedules(candidates_.size());
     std::vector<Time> makespans(candidates_.size(), kInfiniteTime);
+    std::vector<double> walls(candidates_.size(), 0.0);
     const auto evaluate = [&](std::size_t k) {
+      const auto start = std::chrono::steady_clock::now();
       schedules[k] =
           run_heuristic(candidates_[k], request.instance, request.capacity);
       makespans[k] = makespan_of(request, schedules[k]);
+      walls[k] = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
     };
     // parallel_candidates stays the master switch for candidate fan-out;
     // the executor only changes *where* the concurrency runs.
@@ -156,7 +162,7 @@ class AutoSolver final : public Solver {
     std::size_t best = 0;
     for (std::size_t k = 0; k < candidates_.size(); ++k) {
       result.outcomes.push_back(CandidateOutcome{
-          std::string(name_of(candidates_[k])), makespans[k], 0});
+          std::string(name_of(candidates_[k])), makespans[k], 0, walls[k]});
       if (makespans[k] < makespans[best]) best = k;
     }
     if (!candidates_.empty()) {

@@ -1,5 +1,7 @@
 #include "heuristics/bin_packing.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,26 +11,34 @@ namespace dts {
 
 std::vector<std::vector<TaskId>> first_fit_bins(const Instance& inst,
                                                 Mem capacity) {
+  // First-Fit in O(n log n): a max tree over the bins' residual
+  // capacities (unopened bins hold -inf). `approx_leq(mem, r)` is monotone
+  // in r, so the first bin that holds a task is the leftmost leaf whose
+  // subtree maximum holds it — the bin the linear First-Fit scan picks.
   std::vector<std::vector<TaskId>> bins;
-  std::vector<Mem> residual;
+  std::size_t width = 1;
+  while (width < inst.size()) width *= 2;
+  std::vector<Mem> best(2 * width, -std::numeric_limits<Mem>::infinity());
   for (const Task& t : inst) {
     if (definitely_less(capacity, t.mem)) {
       throw std::invalid_argument("first_fit_bins: task " +
                                   std::to_string(t.id) +
                                   " exceeds the bin capacity");
     }
-    bool placed = false;
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (approx_leq(t.mem, residual[b])) {
-        bins[b].push_back(t.id);
-        residual[b] -= t.mem;
-        placed = true;
-        break;
+    std::size_t node = 1;
+    if (approx_leq(t.mem, best[1])) {
+      while (node < width) {
+        node = approx_leq(t.mem, best[2 * node]) ? 2 * node : 2 * node + 1;
       }
-    }
-    if (!placed) {
+      bins[node - width].push_back(t.id);
+      best[node] -= t.mem;
+    } else {
+      node = width + bins.size();
       bins.push_back({t.id});
-      residual.push_back(capacity - t.mem);
+      best[node] = capacity - t.mem;
+    }
+    for (node /= 2; node >= 1; node /= 2) {
+      best[node] = std::max(best[2 * node], best[2 * node + 1]);
     }
   }
   return bins;

@@ -16,8 +16,9 @@
 
 namespace dts {
 
-/// First-Fit bins of task ids (exposed for tests and the example apps).
-/// Throws std::invalid_argument if some task alone exceeds `capacity`.
+/// First-Fit bins of task ids (exposed for tests and the example apps),
+/// O(n log n) over a max tree of bin residuals. Throws
+/// std::invalid_argument if some task alone exceeds `capacity`.
 [[nodiscard]] std::vector<std::vector<TaskId>> first_fit_bins(
     const Instance& inst, Mem capacity);
 

@@ -18,26 +18,27 @@ std::string_view to_corrected_acronym(DynamicCriterion c) noexcept {
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
-  const bool dag = ci.has_dependencies();
-  std::vector<TaskId> pending(base_order.begin(), base_order.end());
-  detail::CandidateScratch scratch;
-  scratch.fitting.reserve(pending.size());
-  while (!pending.empty()) {
+                       Schedule& out, detail::CandidateScratch& scratch) {
+  scratch.build(ci, base_order, criterion, out);
+  while (!scratch.empty()) {
     // The static plan remains viable while its head is runnable and fits:
     // follow it. Otherwise (blocked by memory or, on a DAG, by an
     // unscheduled predecessor) correct with one dynamic decision.
-    const TaskId head = pending.front();
-    Time ready = 0.0;
-    if ((!dag || detail::deps_ready(ci, out, head, ready)) &&
-        state.fits(ci.mem(head))) {
-      detail::issue_task(ci, head, ready, state, out);
-      pending.erase(pending.begin());
+    const std::size_t head = scratch.head();
+    if (scratch.ready(head) && state.fits(ci.mem(scratch.task(head)))) {
+      scratch.issue(ci, head, state, out);
     } else {
-      detail::dynamic_step("execute_corrected", ci, pending, criterion, state,
-                           out, scratch);
+      detail::dynamic_step("execute_corrected", ci, state, out, scratch);
     }
   }
+}
+
+void execute_corrected(const CompiledInstance& ci,
+                       std::span<const TaskId> base_order,
+                       DynamicCriterion criterion, ExecutionState& state,
+                       Schedule& out) {
+  detail::CandidateScratch scratch;
+  execute_corrected(ci, base_order, criterion, state, out, scratch);
 }
 
 Schedule schedule_corrected_with_order(const Instance& inst,

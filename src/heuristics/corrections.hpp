@@ -33,11 +33,20 @@ namespace dts {
 /// existing engine, writing start times into `out`. The one home of the
 /// correction loop (tools/dts_lint.py `executor-one-home`); its dynamic
 /// fallback is the step execute_dynamic takes, dependency gating
-/// included. Repeated callers compile the instance once and reuse it.
+/// included. Repeated callers compile the instance once and reuse it. The
+/// head of the order is a cursor into the candidate index, so a schedule
+/// costs O(n log n) like execute_dynamic's (see dynamic.hpp).
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
                        Schedule& out);
+
+/// Same, on caller-owned candidate buffers (reused across batches; tests
+/// switch on the scratch's oracle check and read its counters).
+void execute_corrected(const CompiledInstance& ci,
+                       std::span<const TaskId> base_order,
+                       DynamicCriterion criterion, ExecutionState& state,
+                       Schedule& out, detail::CandidateScratch& scratch);
 
 /// Corrected policy on a fresh engine with an explicit base order (the
 /// paper's Fig. 6 examples feed a specific OMIM order).

@@ -46,8 +46,9 @@ class HashLane {
   std::uint64_t state_;
 };
 
-/// The canonical value tuple of a task: everything schedule-relevant,
-/// nothing label-like (id, name excluded).
+/// The canonical value tuple of a task: everything schedule-relevant
+/// except its edges, which hash separately (absorb_edges); nothing
+/// label-like (id, name excluded).
 struct TaskKey {
   ChannelId channel;
   std::uint64_t comm;
@@ -70,20 +71,53 @@ struct TaskKey {
   }
 };
 
-Fingerprint hash_sorted_keys(const std::vector<TaskKey>& keys) {
-  HashLane hi(0x6474732d68690001ULL);  // "dts-hi"
-  HashLane lo(0x6474732d6c6f0002ULL);  // "dts-lo"
-  hi.absorb(keys.size());
-  lo.absorb(keys.size());
+/// Both lanes of the 128-bit fingerprint, fed the same stream.
+class FingerprintHasher {
+ public:
+  void absorb(std::uint64_t v) noexcept {
+    hi_.absorb(v);
+    lo_.absorb(v);
+  }
+  [[nodiscard]] Fingerprint digest() const noexcept {
+    return Fingerprint{hi_.digest(), lo_.digest()};
+  }
+
+ private:
+  HashLane hi_{0x6474732d68690001ULL};  // "dts-hi"
+  HashLane lo_{0x6474732d6c6f0002ULL};  // "dts-lo"
+};
+
+void absorb_sorted_keys(FingerprintHasher& h,
+                        const std::vector<TaskKey>& keys) {
+  h.absorb(keys.size());
   for (const TaskKey& k : keys) {
     for (std::uint64_t v : std::array<std::uint64_t, 5>{
              static_cast<std::uint64_t>(k.channel), k.comm, k.comp, k.mem,
              k.bytes}) {
-      hi.absorb(v);
-      lo.absorb(v);
+      h.absorb(v);
     }
   }
-  return Fingerprint{hi.digest(), lo.digest()};
+}
+
+/// The dependency edges in canonical slot space: per slot, its
+/// predecessors' slots (sorted — the order of a deps list carries no
+/// meaning). Absorbed after the task keys and only on DAG instances, so
+/// an edge-free instance keeps the fingerprint it had before edges were
+/// hashed.
+void absorb_edges(FingerprintHasher& h, const Instance& inst,
+                  const std::vector<TaskId>& canonical_to_request,
+                  const std::vector<TaskId>& request_to_canonical) {
+  h.absorb(0x6474732d65646765ULL);  // "dts-edge"
+  std::vector<TaskId> preds;
+  for (const TaskId id : canonical_to_request) {
+    preds.clear();
+    for (const TaskId dep : inst[id].deps) {
+      preds.push_back(request_to_canonical[dep]);
+    }
+    std::sort(preds.begin(), preds.end());
+    h.absorb(preds.size());
+    for (const TaskId slot : preds) h.absorb(slot);
+  }
 }
 
 }  // namespace
@@ -124,7 +158,12 @@ CanonicalInstance::CanonicalInstance(const Instance& inst) {
   }
 
   std::sort(keys.begin(), keys.end());
-  fingerprint_ = hash_sorted_keys(keys);
+  FingerprintHasher h;
+  absorb_sorted_keys(h, keys);
+  if (inst.has_dependencies()) {
+    absorb_edges(h, inst, canonical_to_request_, request_to_canonical_);
+  }
+  fingerprint_ = h.digest();
 }
 
 std::vector<TaskId> CanonicalInstance::to_request_order(
@@ -170,11 +209,15 @@ std::vector<TaskId> CanonicalInstance::to_canonical_order(
 }
 
 Fingerprint fingerprint_of(const Instance& inst) {
+  // Edges hash in canonical slot space, which needs the slot mapping.
+  if (inst.has_dependencies()) return CanonicalInstance(inst).fingerprint();
   std::vector<TaskKey> keys;
   keys.reserve(inst.size());
   for (const Task& t : inst.tasks()) keys.emplace_back(t);
   std::sort(keys.begin(), keys.end());
-  return hash_sorted_keys(keys);
+  FingerprintHasher h;
+  absorb_sorted_keys(h, keys);
+  return h.digest();
 }
 
 }  // namespace dts

@@ -11,7 +11,10 @@
 /// (channel, comm, comp, mem, comm_bytes) tuples, independent of
 /// submission order and of task names — so a million users submitting the
 /// same HF/CCSD shape in a million different task orders all land on one
-/// cache entry and pay one solve.
+/// cache entry and pay one solve. On a DAG instance the dependency edges,
+/// mapped through the canonical slots, join the hash: a chain and its
+/// edge-free twin never share an entry, while edge-free instances
+/// fingerprint exactly as they did before edges were hashed.
 ///
 /// Two pieces:
 ///  * Fingerprint — a 128-bit content hash of the canonical task multiset

@@ -263,6 +263,16 @@ TEST(Cli, SolveRunsAnyRegisteredSolver) {
   EXPECT_NE(r.out.find("winner:"), std::string::npos);
   EXPECT_NE(r.out.find("ratio to OMIM"), std::string::npos);
   EXPECT_NE(r.out.find("wall time:"), std::string::npos);
+  // auto times every candidate: the table gains an `ms` column.
+  const auto header_of = [](const std::string& out) {
+    const std::size_t at = out.find("\ncandidate");
+    return at == std::string::npos
+               ? std::string()
+               : out.substr(at + 1, out.find('\n', at + 1) - at - 1);
+  };
+  const std::string header = header_of(r.out);
+  EXPECT_NE(header.find("makespan"), std::string::npos) << r.out;
+  EXPECT_NE(header.find(" ms"), std::string::npos) << r.out;
 
   const CliRun named = run({"solve", file.str(), "--solver=OOLCMR",
                             "--capacity-factor=1.25"});
@@ -273,6 +283,9 @@ TEST(Cli, SolveRunsAnyRegisteredSolver) {
                               "--capacity-factor=1.25"});
   ASSERT_EQ(batched.exit_code, 0) << batched.err;
   EXPECT_NE(batched.out.find("batch wins"), std::string::npos);
+  // Batch wins are not timed per candidate.
+  EXPECT_EQ(header_of(batched.out).find(" ms"), std::string::npos)
+      << batched.out;
 }
 
 TEST(Cli, SolveUnknownSolverListsAvailable) {

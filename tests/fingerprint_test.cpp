@@ -1,9 +1,10 @@
 /// Property tests for the canonical-instance fingerprint
 /// (service/fingerprint.hpp): permutation, relabeling and trace
 /// round-trips (v1/v2/v3) must preserve it; any value-level perturbation
-/// (durations, memory, channel, byte annotation) must change it across a
-/// large seeded corpus; and a cached order re-costed per machine must
-/// reproduce a fresh solve on the bound instance bit for bit.
+/// (durations, memory, channel, byte annotation) or edge change must
+/// change it across a large seeded corpus; and a cached order re-costed
+/// per machine must reproduce a fresh solve on the bound instance bit for
+/// bit.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "service/service.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dts {
@@ -304,6 +306,105 @@ TEST(Fingerprint, PermutedSubmissionHitsAndRecostsConsistently) {
     EXPECT_EQ(replay[id].comp_start, warm.schedule[id].comp_start);
   }
   EXPECT_TRUE(testing::feasible(bound, replay, capacity));
+}
+
+// ------------------------------------------------------ dependency edges
+
+/// A 6-task CCSD-DAG chain (one contraction chain plus its write-back),
+/// whose edge-free twin once shared its cache entry.
+Instance twin_chain() {
+  TraceConfig config;
+  config.seed = 1;
+  config.min_tasks = 6;
+  config.max_tasks = 6;
+  return generate_ccsd_dag_trace(config);
+}
+
+TEST(Fingerprint, EdgeFreeInstancesKeepTheirPreEdgeHash) {
+  // Pinned before edges joined the hash: cache keys of edge-free
+  // workloads (the paper's model) must not move.
+  TraceConfig config;
+  config.seed = 42;
+  config.min_tasks = 24;
+  config.max_tasks = 24;
+  config.machine = MachineModel::duplex_pcie();
+  EXPECT_EQ(fingerprint_of(generate_trace(ChemistryKernel::kCoupledClusterSD,
+                                          config))
+                .to_hex(),
+            "052faba48d8612d388964cc55c85e480");
+  EXPECT_EQ(fingerprint_of(twin_chain().without_dependencies()).to_hex(),
+            "b7f9edaa4ef08553ae76b84a93330239");
+}
+
+TEST(Fingerprint, EdgesJoinTheHashThroughCanonicalSlots) {
+  const Instance chain = twin_chain();
+  ASSERT_TRUE(chain.has_dependencies());
+  const Fingerprint fp = fingerprint_of(chain);
+  EXPECT_NE(fp, fingerprint_of(chain.without_dependencies()));
+  EXPECT_EQ(fp, CanonicalInstance(chain).fingerprint());
+
+  // Relabeling a DAG of distinct tasks keeps its fingerprint: edges hash
+  // as canonical slots, not request ids.
+  std::vector<TaskId> perm{3, 0, 5, 1, 4, 2};  // new position -> old id
+  std::vector<TaskId> where(perm.size());
+  for (TaskId k = 0; k < perm.size(); ++k) where[perm[k]] = k;
+  std::vector<Task> relabeled;
+  for (const TaskId old : perm) {
+    Task t = chain[old];
+    for (TaskId& dep : t.deps) dep = where[dep];
+    relabeled.push_back(t);
+  }
+  EXPECT_EQ(fp, fingerprint_of(Instance(std::move(relabeled))));
+
+  // Moving one edge to another predecessor changes it.
+  std::vector<Task> moved(chain.begin(), chain.end());
+  ASSERT_EQ(moved[2].deps, std::vector<TaskId>{1});
+  moved[2].deps = {0};
+  EXPECT_NE(fp, fingerprint_of(Instance(std::move(moved))));
+}
+
+ServiceRequest twin_request(const Instance& inst) {
+  ServiceRequest request;
+  request.instance = inst;
+  request.solver = "SCMR";
+  request.capacity_factor = 1.5;
+  return request;
+}
+
+TEST(ServiceCache, EdgeFreeTwinAfterItsChainSolvesCold) {
+  // Before edges were hashed the twin hit the chain's entry and answered
+  // the chain's makespan (5.8718) instead of its own (5.4510).
+  const Instance chain = twin_chain();
+  const Instance free = chain.without_dependencies();
+  SolverService service(ServiceOptions{.workers = 1});
+  const ServiceResponse first = service.handle(twin_request(chain));
+  ASSERT_EQ(first.status, WireResponse::Status::kOk) << first.error;
+  EXPECT_NEAR(first.makespan, 5.8718, 5e-5);
+
+  const ServiceResponse second = service.handle(twin_request(free));
+  ASSERT_EQ(second.status, WireResponse::Status::kOk) << second.error;
+  EXPECT_EQ(second.cache, WireResponse::CacheOutcome::kMiss);
+  EXPECT_NEAR(second.makespan, 5.4510, 5e-5);
+  SolverService cold_service(ServiceOptions{.workers = 1});
+  EXPECT_EQ(second.makespan,
+            cold_service.handle(twin_request(free)).makespan);
+}
+
+TEST(ServiceCache, ChainAfterItsEdgeFreeTwinIsScheduledLegally) {
+  // Before edges were hashed the chain hit the twin's entry, whose order
+  // issues a task before its predecessor: the request failed with
+  // "execute_order: task 3 issued before its predecessor 2".
+  const Instance chain = twin_chain();
+  SolverService service(ServiceOptions{.workers = 1});
+  const ServiceResponse first =
+      service.handle(twin_request(chain.without_dependencies()));
+  ASSERT_EQ(first.status, WireResponse::Status::kOk) << first.error;
+
+  const ServiceResponse second = service.handle(twin_request(chain));
+  ASSERT_EQ(second.status, WireResponse::Status::kOk) << second.error;
+  EXPECT_EQ(second.cache, WireResponse::CacheOutcome::kMiss);
+  EXPECT_NEAR(second.makespan, 5.8718, 5e-5);
+  EXPECT_TRUE(chain.is_topological_order(second.order));
 }
 
 }  // namespace

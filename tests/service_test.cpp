@@ -269,8 +269,11 @@ TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {
   Rng rng(86);
   std::vector<ServiceRequest> requests;
   for (std::size_t i = 0; i < kClients; ++i) {
+    // Large enough that the running solve still holds the worker when
+    // the last client submits, even on a loaded machine (at 60 tasks it
+    // could finish first, and nothing needed shedding).
     ServiceRequest request =
-        basic_request(testing::random_instance(rng, 60), std::to_string(i));
+        basic_request(testing::random_instance(rng, 200), std::to_string(i));
     request.solver = "local-search";  // slow enough to hold the worker
     requests.push_back(std::move(request));
   }

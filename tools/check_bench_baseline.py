@@ -17,6 +17,11 @@ bench/baselines/. Two classes of column, two rules:
    machine-robust (both engines run on the same machine seconds apart),
    which is what makes guarding the fast path's win meaningful in CI.
 
+ * Scaling slopes (slope; bench_scaling's log-log fit of ms per solve
+   against the task count n): lower is better with an absolute ceiling
+   of 1.4 — O(n log n) solvers read 1.0-1.2, a quadratic loop ~2. A row
+   fails above the ceiling whatever its baseline.
+
 Columns present in the candidate but not the baseline (a bench just grew
 a metric) are noted and covered after the next --update — never a
 failure, so adding a column does not break CI retroactively.
@@ -43,16 +48,26 @@ DEFAULT_TOLERANCE = 0.02  # 2% relative slack for compiler/FP differences
 DEFAULT_THROUGHPUT_TOLERANCE = 0.75
 
 # Higher-is-better columns, guarded with the throughput tolerance. All
-# other compared columns are lower-is-better makespans on the strict one.
+# other compared columns are lower-is-better makespans on the strict one,
+# except the scaling slope below.
 THROUGHPUT_SUFFIXES = ("_per_sec", "_speedup")
+
+# Scaling slopes: an absolute ceiling, not a band around the baseline.
+SLOPE_CEILING = 1.4
 
 
 def is_throughput_metric(name):
     return name.endswith(THROUGHPUT_SUFFIXES)
 
 
+def is_slope_metric(name):
+    return name == "slope"
+
+
 def row_key(row):
     """Identity of a bench row across runs."""
+    if "slope" in row:
+        return ("scaling", row["kernel"], row["solver"])
     if "dag_machine" in row:
         return ("dag", row["kernel"], row["dag_machine"])
     if "machine" in row:
@@ -66,6 +81,11 @@ def row_key(row):
 
 def metrics(row):
     """The guarded columns of a row."""
+    if "slope" in row:
+        # bench_scaling row: the fitted slope (ceiling rule) and the
+        # makespan at the largest n (deterministic, strict rule).
+        return {"slope": row["slope"],
+                "makespan_seconds": row["makespan_seconds"]}
     if "dag_machine" in row:
         # DAG-axis row: both medians are deterministic functions of the
         # seeded contraction-chain corpus — strict rule for each.
@@ -141,7 +161,11 @@ def compare(baseline, candidate, tolerance, throughput_tolerance):
             line = (f"{'/'.join(str(part) for part in key)} {name}: "
                     f"{base_value:.6g} -> {cand_value:.6g} "
                     f"({100.0 * delta:+.2f}%)")
-            if is_throughput_metric(name):
+            if is_slope_metric(name):
+                if cand_value > SLOPE_CEILING:
+                    result["regressions"].append(
+                        line + f" [ceiling {SLOPE_CEILING}]")
+            elif is_throughput_metric(name):
                 # Higher is better; the lax machine-spread tolerance.
                 if delta < -throughput_tolerance:
                     result["regressions"].append(line)
@@ -173,6 +197,9 @@ def run_self_test():
     fig7_base = {("fig7", "HF", 1.25): {
         "milp_median_makespan_seconds": 4.0e-5,
         "best_heuristic_median_makespan_seconds": 4.2e-5,
+    }}
+    scaling_base = {("scaling", "CCSD", "SCMR"): {
+        "slope": 1.1, "makespan_seconds": 1650.0,
     }}
     dag_base = {("dag", "CCSD-DAG", "duplex-pcie"): {
         "dag_median_makespan_seconds": 15.0,
@@ -269,6 +296,19 @@ def run_self_test():
            run(thr_base, tweak(thr_base, median_makespan_seconds=0.055)),
            True)
 
+    # Scaling slopes: the absolute ceiling catches a quadratic creeping
+    # back, noise under it passes, and the makespan stays strict.
+    expect("identical scaling rows", run(scaling_base, scaling_base), False)
+    expect("quadratic slope fails the ceiling",
+           run(scaling_base, tweak(scaling_base, slope=1.95)), True)
+    expect("slope just over the ceiling fails",
+           run(scaling_base, tweak(scaling_base, slope=1.45)), True)
+    expect("slope noise under the ceiling passes",
+           run(scaling_base, tweak(scaling_base, slope=1.3)), False)
+    expect("scaling makespan regression",
+           run(scaling_base, tweak(scaling_base, makespan_seconds=1700.0)),
+           True)
+
     # Missing coverage fails; growth never does.
     cand = {key: {n: v for n, v in vals.items()
                   if n != "candidate_eval_speedup"}
@@ -318,6 +358,15 @@ def run_self_test():
         parsed[row_key(row)] = metrics(row)
     if parsed != dag_base:
         failures.append(f"dag row parse drifted: {parsed}")
+    parsed = {}
+    for row in json.loads(json.dumps({"rows": [{
+            "kernel": "CCSD", "solver": "SCMR",
+            "tasks": [1000, 2000, 4000, 8000],
+            "ms_per_solve": [0.2, 0.5, 1.1, 2.4], "slope": 1.1,
+            "makespan_seconds": 1650.0}]}))["rows"]:
+        parsed[row_key(row)] = metrics(row)
+    if parsed != scaling_base:
+        failures.append(f"scaling row parse drifted: {parsed}")
 
     if failures:
         for line in failures:
@@ -383,7 +432,8 @@ def main(argv):
     if result["regressions"]:
         print(f"PERFORMANCE REGRESSIONS (makespans > {100.0 * tolerance:.1f}% "
               f"above baseline, throughput > "
-              f"{100.0 * throughput_tolerance:.0f}% below):")
+              f"{100.0 * throughput_tolerance:.0f}% below, slopes over "
+              f"{SLOPE_CEILING}):")
         for line in result["regressions"]:
             print(f"  {line}")
     if result["regressions"] or result["missing"]:

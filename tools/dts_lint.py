@@ -39,7 +39,8 @@ ones that otherwise live only in reviewers' heads:
   no-naked-new             no naked new/delete in src/ — ownership goes
                            through containers and smart pointers.
   hot-path-noalloc         functions marked `// dts-lint: hot-path` in
-                           src/core/ (the candidate-scoring inner loops)
+                           src/core/ and src/heuristics/ (the candidate-
+                           scoring loops and the candidate index)
                            never allocate, build strings, declare
                            containers, grow buffers (.reserve/.resize/
                            .shrink_to_fit) or throw inline — error paths
@@ -343,6 +344,9 @@ def check_naked_new(path: str, raw: str, code: str):
 
 
 HOT_PATH_MARKER_RE = re.compile(r"//\s*dts-lint:\s*hot-path\b")
+# Where the marker is enforced: the engine and evaluator (src/core/) and
+# the dynamic heuristics' candidate index (src/heuristics/).
+HOT_PATH_ROOTS = ("src/core/", "src/heuristics/")
 
 # Constructs that cost a heap round-trip, a string build, or an exception
 # object in a loop that scores thousands of candidates per millisecond.
@@ -364,8 +368,8 @@ HOT_PATH_BANNED = (
 
 
 def check_hot_path_noalloc(path: str, raw: str, code: str):
-    """`// dts-lint: hot-path` functions in src/core/ stay allocation-free."""
-    if not path.startswith("src/core/"):
+    """`// dts-lint: hot-path` functions in HOT_PATH_ROOTS stay allocation-free."""
+    if not path.startswith(HOT_PATH_ROOTS):
         return
     for marker in HOT_PATH_MARKER_RE.finditer(raw):
         start = code.find("{", marker.end())
@@ -401,7 +405,7 @@ EXECUTOR_HOMES = {
     "execute_corrected": "src/heuristics/corrections.cpp",
 }
 EXECUTOR_LOGIC_TOKENS = ("pick_candidate", "dynamic_step", ".issue(",
-                         "deps_ready")
+                         "CandidateScratch")
 
 
 def check_executor_one_home(path: str, raw: str, code: str):
