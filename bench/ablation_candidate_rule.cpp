@@ -12,8 +12,9 @@
 
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "core/simulate.hpp"
-#include "heuristics/dynamic.hpp"
+#include "core/solver.hpp"
 #include "support/parallel_for.hpp"
 
 namespace {
@@ -69,25 +70,27 @@ int main(int argc, char** argv) {
     TextTable table({"capacity", "criterion", "with idle filter (paper)",
                      "criterion only", "filter gain"});
     for (double factor : {1.0, 1.5, 2.0}) {
-      for (DynamicCriterion crit :
-           {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-            DynamicCriterion::kMaxAcceleration}) {
+      for (const Heuristic& h : heuristics()) {
+        if (h.family != HeuristicFamily::kDynamic) continue;
         std::vector<double> with_f(traces.size());
         std::vector<double> without_f(traces.size());
+        SolveOptions no_bounds;
+        no_bounds.compute_bounds = false;
         parallel_for(0, traces.size(), [&](std::size_t t) {
           const Time lower = omim(traces[t]);
-          const Mem cap = traces[t].min_capacity() * factor;
-          with_f[t] =
-              schedule_dynamic(traces[t], crit, cap).makespan(traces[t]) /
-              lower;
-          without_f[t] = schedule_criterion_only(traces[t], crit, cap)
+          SolveRequest request;
+          request.instance = traces[t];
+          request.capacity = traces[t].min_capacity() * factor;
+          with_f[t] = solve(request, h.name, no_bounds).makespan / lower;
+          without_f[t] = schedule_criterion_only(traces[t], h.criterion,
+                                                 request.capacity)
                              .makespan(traces[t]) /
                          lower;
         });
         const double med_with = summarize(std::move(with_f)).median;
         const double med_without = summarize(std::move(without_f)).median;
         table.add_row(
-            {format_fixed(factor, 3) + " mc", std::string(to_acronym(crit)),
+            {format_fixed(factor, 3) + " mc", std::string(h.name),
              format_fixed(med_with, 4), format_fixed(med_without, 4),
              format_fixed(100.0 * (med_without / med_with - 1.0), 2) + "%"});
       }

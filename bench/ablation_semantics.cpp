@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
+#include "core/solver.hpp"
 #include "support/parallel_for.hpp"
 
 int main(int argc, char** argv) {
@@ -22,10 +23,11 @@ int main(int argc, char** argv) {
     TextTable table({"capacity", "heuristic", "half-open median",
                      "closed median", "penalty"});
     for (double factor : {1.0, 1.5, 2.0}) {
-      for (HeuristicId id :
-           {HeuristicId::kOOSIM, HeuristicId::kLCMR, HeuristicId::kOOMAMR}) {
+      for (const char* name : {"OOSIM", "LCMR", "OOMAMR"}) {
         std::vector<double> open_r(traces.size());
         std::vector<double> closed_r(traces.size());
+        SolveOptions no_bounds;
+        no_bounds.compute_bounds = false;
         parallel_for(0, traces.size(), [&](std::size_t t) {
           const Time lower = omim(traces[t]);
           const Mem mc = traces[t].min_capacity();
@@ -39,13 +41,17 @@ int main(int argc, char** argv) {
           const Mem cap = mc * factor;
           // Clamp: the largest task must still fit, or no schedule exists.
           const Mem closed_cap = std::max(cap - 0.5 * eps, mc);
-          open_r[t] = heuristic_makespan(id, traces[t], cap) / lower;
-          closed_r[t] = heuristic_makespan(id, traces[t], closed_cap) / lower;
+          SolveRequest request;
+          request.instance = traces[t];
+          request.capacity = cap;
+          open_r[t] = solve(request, name, no_bounds).makespan / lower;
+          request.capacity = closed_cap;
+          closed_r[t] = solve(request, name, no_bounds).makespan / lower;
         });
         const double open_med = summarize(std::move(open_r)).median;
         const double closed_med = summarize(std::move(closed_r)).median;
         table.add_row({format_fixed(factor, 3) + " mc",
-                       std::string(name_of(id)), format_fixed(open_med, 4),
+                       name, format_fixed(open_med, 4),
                        format_fixed(closed_med, 4),
                        format_fixed(100.0 * (closed_med / open_med - 1.0), 2) +
                            "%"});

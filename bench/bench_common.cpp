@@ -46,9 +46,15 @@ std::vector<double> capacity_factors() {
   return factors;
 }
 
+std::vector<const Heuristic*> all_rows() {
+  std::vector<const Heuristic*> rows;
+  for (const Heuristic& h : heuristics()) rows.push_back(&h);
+  return rows;
+}
+
 std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
                                   const std::vector<double>& factors,
-                                  const std::vector<HeuristicId>& ids) {
+                                  const std::vector<const Heuristic*>& rows) {
   // Per-trace OMIM and mc, computed once.
   std::vector<Time> omims(traces.size());
   std::vector<Mem> mcs(traces.size());
@@ -58,10 +64,10 @@ std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
   });
 
   std::vector<RatioCell> grid;
-  grid.reserve(factors.size() * ids.size());
+  grid.reserve(factors.size() * rows.size());
   for (double factor : factors) {
-    for (HeuristicId id : ids) {
-      grid.push_back(RatioCell{id, factor, std::vector<double>(traces.size())});
+    for (const Heuristic* h : rows) {
+      grid.push_back(RatioCell{h, factor, std::vector<double>(traces.size())});
     }
   }
   // Parallelize over traces; one SolveRequest per trace, re-aimed at each
@@ -74,10 +80,9 @@ std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
     request.instance = traces[t];
     for (std::size_t fi = 0; fi < factors.size(); ++fi) {
       request.capacity = mcs[t] * factors[fi];
-      for (std::size_t hi = 0; hi < ids.size(); ++hi) {
-        const Time ms =
-            solve(request, name_of(ids[hi]), options).makespan;
-        grid[fi * ids.size() + hi].ratios[t] =
+      for (std::size_t hi = 0; hi < rows.size(); ++hi) {
+        const Time ms = solve(request, rows[hi]->name, options).makespan;
+        grid[fi * rows.size() + hi].ratios[t] =
             omims[t] > 0.0 ? ms / omims[t] : 1.0;
       }
     }
@@ -85,23 +90,24 @@ std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
   return grid;
 }
 
-const RatioCell* find_cell(const std::vector<RatioCell>& grid, HeuristicId id,
-                           double factor) {
+const RatioCell* find_cell(const std::vector<RatioCell>& grid,
+                           const Heuristic* heuristic, double factor) {
   for (const RatioCell& cell : grid) {
-    if (cell.id == id && cell.factor == factor) return &cell;
+    if (cell.heuristic == heuristic && cell.factor == factor) return &cell;
   }
   return nullptr;
 }
 
 TextTable boxplot_panel(const std::vector<RatioCell>& grid,
-                        const std::vector<HeuristicId>& ids, double factor) {
+                        const std::vector<const Heuristic*>& rows,
+                        double factor) {
   TextTable table({"heuristic", "min", "q1", "median", "q3", "max",
                    "outliers"});
-  for (HeuristicId id : ids) {
-    const RatioCell* cell = find_cell(grid, id, factor);
+  for (const Heuristic* h : rows) {
+    const RatioCell* cell = find_cell(grid, h, factor);
     if (cell == nullptr) continue;
     const BoxplotSummary s = summarize(cell->ratios);
-    table.add_row({std::string(name_of(id)), format_fixed(s.min, 4),
+    table.add_row({std::string(h->name), format_fixed(s.min, 4),
                    format_fixed(s.q1, 4), format_fixed(s.median, 4),
                    format_fixed(s.q3, 4), format_fixed(s.max, 4),
                    std::to_string(s.outliers.size())});
@@ -129,7 +135,7 @@ void write_grid_csv(const Options& options, const std::string& figure,
   std::vector<std::vector<std::string>> rows;
   for (const RatioCell& cell : grid) {
     for (std::size_t t = 0; t < cell.ratios.size(); ++t) {
-      rows.push_back({std::string(name_of(cell.id)),
+      rows.push_back({std::string(cell.heuristic->name),
                       format_fixed(cell.factor, 3), std::to_string(t),
                       format_fixed(cell.ratios[t], 6)});
     }
@@ -149,17 +155,17 @@ void write_table_csv(const Options& options, const std::string& figure,
 std::vector<FamilyCurve> best_variant_curves(
     const std::vector<RatioCell>& grid, const std::vector<double>& factors) {
   std::vector<FamilyCurve> curves;
-  for (HeuristicCategory cat :
-       {HeuristicCategory::kBaseline, HeuristicCategory::kStatic,
-        HeuristicCategory::kDynamic, HeuristicCategory::kCorrected}) {
+  for (HeuristicFamily family :
+       {HeuristicFamily::kBaseline, HeuristicFamily::kStatic,
+        HeuristicFamily::kDynamic, HeuristicFamily::kCorrected}) {
     FamilyCurve curve;
-    curve.category = cat;
-    const std::vector<HeuristicId> family = heuristics_in(cat);
+    curve.family = family;
     for (double factor : factors) {
       // Per trace, take the family's best ratio, then summarize.
       std::vector<double> best;
-      for (HeuristicId id : family) {
-        const RatioCell* cell = find_cell(grid, id, factor);
+      for (const Heuristic& h : heuristics()) {
+        if (h.family != family) continue;
+        const RatioCell* cell = find_cell(grid, &h, factor);
         if (cell == nullptr) continue;
         if (best.empty()) {
           best = cell->ratios;

@@ -30,9 +30,12 @@ struct Options {
 /// The paper's capacity grid: mc..2mc in increments of 0.125 mc.
 [[nodiscard]] std::vector<double> capacity_factors();
 
+/// Every row of the heuristic table (core/registry.hpp), display order.
+[[nodiscard]] std::vector<const Heuristic*> all_rows();
+
 /// Ratio-to-OMIM samples for one heuristic at one capacity factor.
 struct RatioCell {
-  HeuristicId id;
+  const Heuristic* heuristic = nullptr;
   double factor = 1.0;
   std::vector<double> ratios;  ///< one entry per trace
 };
@@ -42,16 +45,17 @@ struct RatioCell {
 /// makespan / OMIM of that trace.
 [[nodiscard]] std::vector<RatioCell> ratio_grid(
     const std::vector<Instance>& traces, const std::vector<double>& factors,
-    const std::vector<HeuristicId>& ids);
+    const std::vector<const Heuristic*>& rows);
 
 /// Looks up a cell (by id and factor) in a grid.
 [[nodiscard]] const RatioCell* find_cell(const std::vector<RatioCell>& grid,
-                                         HeuristicId id, double factor);
+                                         const Heuristic* heuristic,
+                                         double factor);
 
 /// Renders the boxplot table for one capacity factor (rows = heuristics):
 /// the textual equivalent of one panel of the paper's Figs. 9 and 11.
 [[nodiscard]] TextTable boxplot_panel(const std::vector<RatioCell>& grid,
-                                      const std::vector<HeuristicId>& ids,
+                                      const std::vector<const Heuristic*>& rows,
                                       double factor);
 
 /// Writes the full grid as tidy CSV (heuristic, factor, trace, ratio) for
@@ -67,7 +71,7 @@ void write_table_csv(const Options& options, const std::string& figure,
 /// Figs. 10/12/13): for each trace, the family's best ratio; summarized
 /// over traces.
 struct FamilyCurve {
-  HeuristicCategory category;
+  HeuristicFamily family;
   std::vector<double> median_per_factor;
   std::vector<double> mean_per_factor;
 };

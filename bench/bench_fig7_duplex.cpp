@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   config.max_tasks = 2;
   config.machine = MachineModel::duplex_pcie();
 
-  const std::vector<HeuristicId> ids = all_heuristic_ids();
+  const std::span<const Heuristic> table_rows = heuristics();
   std::vector<Fig7Row> rows;
   bool all_proved = true;
 
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
                 traces.empty() ? 0 : traces.front().size());
 
     std::vector<std::string> headers{"capacity", "exact (s)", "proved"};
-    for (HeuristicId id : ids) headers.emplace_back(name_of(id));
+    for (const Heuristic& h : table_rows) headers.emplace_back(h.name);
     TextTable table(std::move(headers));
 
     for (double factor : bench::capacity_factors()) {
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
 
       std::vector<double> exact;
       std::size_t proved = 0;
-      std::vector<std::vector<double>> ratios(ids.size());
+      std::vector<std::vector<double>> ratios(table_rows.size());
       for (const Instance& inst : traces) {
         SolveRequest request;
         request.instance = inst;
@@ -104,9 +105,11 @@ int main(int argc, char** argv) {
         const SolveResult result = solve(request, "milp");
         if (result.proved_optimal) ++proved;
         exact.push_back(result.makespan);
-        for (std::size_t h = 0; h < ids.size(); ++h) {
+        SolveOptions no_bounds;
+        no_bounds.compute_bounds = false;
+        for (std::size_t h = 0; h < table_rows.size(); ++h) {
           const Time makespan =
-              heuristic_makespan(ids[h], inst, request.capacity);
+              solve(request, table_rows[h].name, no_bounds).makespan;
           ratios[h].push_back(result.makespan > 0.0
                                   ? makespan / result.makespan
                                   : 1.0);
@@ -123,12 +126,12 @@ int main(int argc, char** argv) {
                                      format_fixed(row.exact_median, 6),
                                      format_fixed(row.proved_fraction, 2)};
       double best_ratio = 0.0;
-      for (std::size_t h = 0; h < ids.size(); ++h) {
+      for (std::size_t h = 0; h < table_rows.size(); ++h) {
         const double median_ratio = summarize(ratios[h]).median;
         cells.push_back(format_fixed(median_ratio, 4));
         if (row.best_heuristic.empty() || median_ratio < best_ratio) {
           best_ratio = median_ratio;
-          row.best_heuristic = std::string(name_of(ids[h]));
+          row.best_heuristic = std::string(table_rows[h].name);
           row.best_median = median_ratio * row.exact_median;
         }
       }

@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
-#include "heuristics/static_orders.hpp"
+#include "core/registry.hpp"
 #include "report/gantt.hpp"
 
 int main(int argc, char** argv) {
@@ -25,24 +25,22 @@ int main(int argc, char** argv) {
 
   TextTable table({"heuristic", "order", "makespan", "paper"});
   const struct {
-    StaticOrderPolicy policy;
+    const char* name;
     const char* expected;
   } rows[] = {
-      {StaticOrderPolicy::kJohnson, "15"},
-      {StaticOrderPolicy::kIncreasingComm, "16"},
-      {StaticOrderPolicy::kDecreasingComp, "14"},
-      {StaticOrderPolicy::kIncreasingCommPlusComp, "16"},
-      {StaticOrderPolicy::kDecreasingCommPlusComp, "17"},
+      {"OOSIM", "15"}, {"IOCMS", "16"}, {"DOCPS", "14"},
+      {"IOCCS", "16"}, {"DOCCS", "17"},
   };
   for (const auto& row : rows) {
-    const std::vector<TaskId> order = static_order(inst, row.policy);
+    const std::vector<TaskId> order =
+        find_heuristic(row.name)->order(inst, kCapacity);
     std::string order_str;
     for (TaskId id : order) order_str += static_cast<char>('A' + id);
     const Schedule s = simulate_order(inst, order, kCapacity);
-    table.add_row({std::string(to_acronym(row.policy)), order_str,
+    table.add_row({row.name, order_str,
                    format_fixed(s.makespan(inst), 0), row.expected});
     std::printf("%s (order %s), makespan %.0f:\n%s\n",
-                std::string(to_acronym(row.policy)).c_str(), order_str.c_str(),
+                row.name, order_str.c_str(),
                 s.makespan(inst),
                 render_gantt(inst, s, {.width = 60, .show_legend = false})
                     .c_str());

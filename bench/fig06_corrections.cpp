@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/registry.hpp"
 #include "heuristics/corrections.hpp"
 #include "report/gantt.hpp"
 
@@ -22,23 +23,18 @@ int main(int argc, char** argv) {
       "B C D A E):\n\n");
   TextTable table({"heuristic", "realized order", "makespan", "paper"});
   const struct {
-    DynamicCriterion criterion;
+    const char* name;
     const char* expected;
-  } rows[] = {
-      {DynamicCriterion::kLargestComm, "33"},
-      {DynamicCriterion::kSmallestComm, "35"},
-      {DynamicCriterion::kMaxAcceleration, "33"},
-  };
+  } rows[] = {{"OOLCMR", "33"}, {"OOSCMR", "35"}, {"OOMAMR", "33"}};
   for (const auto& row : rows) {
-    const Schedule s = schedule_corrected_with_order(inst, base, row.criterion,
-                                                     kCapacity);
+    const Schedule s = schedule_corrected_with_order(
+        inst, base, find_heuristic(row.name)->criterion, kCapacity);
     std::string order_str;
     for (TaskId id : s.comm_order()) order_str += static_cast<char>('A' + id);
-    table.add_row({std::string(to_corrected_acronym(row.criterion)), order_str,
+    table.add_row({row.name, order_str,
                    format_fixed(s.makespan(inst), 0), row.expected});
     std::printf("%s (order %s), makespan %.0f:\n%s\n",
-                std::string(to_corrected_acronym(row.criterion)).c_str(),
-                order_str.c_str(), s.makespan(inst),
+                row.name, order_str.c_str(), s.makespan(inst),
                 render_gantt(inst, s, {.width = 60, .show_legend = false})
                     .c_str());
   }

@@ -13,15 +13,15 @@ int main(int argc, char** argv) {
   const std::vector<Instance> traces =
       bench::corpus(ChemistryKernel::kHartreeFock, options);
   const std::vector<double> factors = bench::capacity_factors();
-  const std::vector<HeuristicId> ids = all_heuristic_ids();
+  const std::vector<const Heuristic*> rows = bench::all_rows();
 
   std::printf("Fig. 9 — HF, %zu traces, mc = 176KB:\n\n", traces.size());
   const std::vector<bench::RatioCell> grid =
-      bench::ratio_grid(traces, factors, ids);
+      bench::ratio_grid(traces, factors, rows);
 
   for (double factor : factors) {
     std::printf("capacity %.3f mc:\n%s\n", factor,
-                bench::boxplot_panel(grid, ids, factor).to_ascii().c_str());
+                bench::boxplot_panel(grid, rows, factor).to_ascii().c_str());
   }
   bench::write_grid_csv(options, "fig09_hf_heuristics", grid);
   return 0;

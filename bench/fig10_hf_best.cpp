@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       bench::corpus(ChemistryKernel::kHartreeFock, options);
   const std::vector<double> factors = bench::capacity_factors();
   const std::vector<bench::RatioCell> grid =
-      bench::ratio_grid(traces, factors, all_heuristic_ids());
+      bench::ratio_grid(traces, factors, bench::all_rows());
   const auto curves = bench::best_variant_curves(grid, factors);
 
   TextTable table({"capacity", "OS", "Best Static", "Best Dynamic",

@@ -12,15 +12,15 @@ int main(int argc, char** argv) {
   const std::vector<Instance> traces =
       bench::corpus(ChemistryKernel::kCoupledClusterSD, options);
   const std::vector<double> factors = bench::capacity_factors();
-  const std::vector<HeuristicId> ids = all_heuristic_ids();
+  const std::vector<const Heuristic*> rows = bench::all_rows();
 
   std::printf("Fig. 11 — CCSD, %zu traces, mc = 1.8GB:\n\n", traces.size());
   const std::vector<bench::RatioCell> grid =
-      bench::ratio_grid(traces, factors, ids);
+      bench::ratio_grid(traces, factors, rows);
 
   for (double factor : factors) {
     std::printf("capacity %.3f mc:\n%s\n", factor,
-                bench::boxplot_panel(grid, ids, factor).to_ascii().c_str());
+                bench::boxplot_panel(grid, rows, factor).to_ascii().c_str());
   }
   bench::write_grid_csv(options, "fig11_ccsd_heuristics", grid);
   return 0;

@@ -39,10 +39,9 @@ int main(int argc, char** argv) {
                      "Best Static Dynamic"});
     for (double factor : factors) {
       std::vector<std::string> row{format_fixed(factor, 3) + " mc"};
-      for (HeuristicCategory cat :
-           {HeuristicCategory::kBaseline, HeuristicCategory::kStatic,
-            HeuristicCategory::kDynamic, HeuristicCategory::kCorrected}) {
-        const std::vector<HeuristicId> family = heuristics_in(cat);
+      for (HeuristicFamily family :
+           {HeuristicFamily::kBaseline, HeuristicFamily::kStatic,
+            HeuristicFamily::kDynamic, HeuristicFamily::kCorrected}) {
         std::vector<double> best(traces.size());
         SolveOptions solve_options;
         solve_options.compute_bounds = false;
@@ -52,8 +51,9 @@ int main(int argc, char** argv) {
           request.capacity = mcs[t] * factor;
           request.batch_size = kBatch;  // §6.3 visibility window
           double best_ratio = kInfiniteTime;
-          for (HeuristicId id : family) {
-            const Time ms = solve(request, name_of(id), solve_options).makespan;
+          for (const Heuristic& h : heuristics()) {
+            if (h.family != family) continue;
+            const Time ms = solve(request, h.name, solve_options).makespan;
             best_ratio = std::min(best_ratio, ms / omims[t]);
           }
           best[t] = best_ratio;

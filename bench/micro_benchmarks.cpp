@@ -7,8 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/johnson.hpp"
-#include "core/registry.hpp"
 #include "core/simulate.hpp"
+#include "core/solver.hpp"
 #include "core/validate.hpp"
 #include "exact/window_solver.hpp"
 #include "heuristics/gilmore_gomory.hpp"
@@ -75,19 +75,21 @@ void BM_Validate(benchmark::State& state) {
 }
 BENCHMARK(BM_Validate)->Range(64, 4096)->Complexity();
 
-template <HeuristicId kId>
-void BM_Heuristic(benchmark::State& state) {
-  const Instance inst = make_instance(static_cast<std::size_t>(state.range(0)));
-  const Mem capacity = 1.25 * inst.min_capacity();
+void BM_Heuristic(benchmark::State& state, const char* name) {
+  SolveRequest request;
+  request.instance = make_instance(static_cast<std::size_t>(state.range(0)));
+  request.capacity = 1.25 * request.instance.min_capacity();
+  SolveOptions options;
+  options.compute_bounds = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_heuristic(kId, inst, capacity));
+    benchmark::DoNotOptimize(solve(request, name, options));
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Heuristic<HeuristicId::kOOSIM>)->Range(64, 2048)->Complexity();
-BENCHMARK(BM_Heuristic<HeuristicId::kBP>)->Range(64, 2048)->Complexity();
-BENCHMARK(BM_Heuristic<HeuristicId::kLCMR>)->Range(64, 2048)->Complexity();
-BENCHMARK(BM_Heuristic<HeuristicId::kOOMAMR>)->Range(64, 2048)->Complexity();
+BENCHMARK_CAPTURE(BM_Heuristic, OOSIM, "OOSIM")->Range(64, 2048)->Complexity();
+BENCHMARK_CAPTURE(BM_Heuristic, BP, "BP")->Range(64, 2048)->Complexity();
+BENCHMARK_CAPTURE(BM_Heuristic, LCMR, "LCMR")->Range(64, 2048)->Complexity();
+BENCHMARK_CAPTURE(BM_Heuristic, OOMAMR, "OOMAMR")->Range(64, 2048)->Complexity();
 
 void BM_WindowSolverLp4(benchmark::State& state) {
   const Instance inst = make_instance(static_cast<std::size_t>(state.range(0)));

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <string_view>
 
 #include "bench_common.hpp"
 #include "core/recommend.hpp"
@@ -20,7 +21,7 @@ using namespace dts;
 /// A synthetic scenario: workload generator + capacity rule.
 struct Scenario {
   std::string label;
-  HeuristicId favored;
+  std::string_view favored;  ///< acronym of a heuristic-table row
   std::function<Instance(Rng&)> make;
   std::function<Mem(const Instance&)> capacity;
 };
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   std::vector<Scenario> scenarios;
   // OOSIM: memory not a restriction.
   scenarios.push_back(
-      {"no memory restriction (OOSIM optimal)", HeuristicId::kOOSIM,
+      {"no memory restriction (OOSIM optimal)", "OOSIM",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t) {
            return task_of(r.uniform(1, 9), r.uniform(1, 9));
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   // IOCCS: moderate capacity, mostly highly compute intensive.
   scenarios.push_back(
       {"moderate capacity, highly compute intensive (IOCCS)",
-       HeuristicId::kIOCCS,
+       "IOCCS",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t) {
            const Time comm = r.uniform(1, 6);
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
   // DOCCS: moderate capacity, mostly highly communication intensive.
   scenarios.push_back(
       {"moderate capacity, highly communication intensive (DOCCS)",
-       HeuristicId::kDOCCS,
+       "DOCCS",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t) {
            const Time comp = r.uniform(0.5, 3.0);
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
   // SCMR: limited capacity, compute-intensive tasks have small comm.
   scenarios.push_back(
       {"limited capacity, small-comm tasks compute intensive (SCMR)",
-       HeuristicId::kSCMR,
+       "SCMR",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t) {
            if (r.chance(0.3)) {
@@ -93,7 +94,7 @@ int main(int argc, char** argv) {
   // LCMR: limited capacity, large-comm tasks compute intensive.
   scenarios.push_back(
       {"limited capacity, large-comm tasks compute intensive (LCMR)",
-       HeuristicId::kLCMR,
+       "LCMR",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t) {
            if (r.chance(0.3)) {
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
        [](const Instance& inst) { return 1.1 * inst.min_capacity(); }});
   // MAMR: limited capacity, both types in quantity.
   scenarios.push_back(
-      {"limited capacity, mixed task types (MAMR)", HeuristicId::kMAMR,
+      {"limited capacity, mixed task types (MAMR)", "MAMR",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t i) {
            const Time comm = r.uniform(1, 8);
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
        [](const Instance& inst) { return 1.1 * inst.min_capacity(); }});
   // OOMAMR: moderate capacity, mixed.
   scenarios.push_back(
-      {"moderate capacity, mixed task types (OOMAMR)", HeuristicId::kOOMAMR,
+      {"moderate capacity, mixed task types (OOMAMR)", "OOMAMR",
        [](Rng& rng) {
          return make_tasks(rng, 60, [&](Rng& r, std::size_t i) {
            const Time comm = r.uniform(1, 8);
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
       Time favored_ms = kInfiniteTime;
       double rank = 1.0;
       for (const CandidateOutcome& o : res.outcomes) {
-        if (o.name == name_of(sc.favored)) favored_ms = o.makespan;
+        if (o.name == sc.favored) favored_ms = o.makespan;
       }
       for (const CandidateOutcome& o : res.outcomes) {
         if (o.makespan < favored_ms - 1e-12) rank += 1.0;
@@ -157,12 +158,12 @@ int main(int argc, char** argv) {
       const Recommendation rec = recommend(request.instance, capacity);
       Time rec_ms = kInfiniteTime;
       for (const CandidateOutcome& o : res.outcomes) {
-        if (o.name == name_of(rec.primary)) rec_ms = o.makespan;
+        if (o.name == rec.primary) rec_ms = o.makespan;
       }
       if (rec_ms <= res.makespan * 1.02) ++rec_close;
     }
     const BoxplotSummary s = summarize(std::move(ranks));
-    table.add_row({sc.label, std::string(name_of(sc.favored)),
+    table.add_row({sc.label, std::string(sc.favored),
                    format_fixed(s.median, 1),
                    format_fixed(100.0 * static_cast<double>(close) /
                                     static_cast<double>(kRuns), 0) + "%",

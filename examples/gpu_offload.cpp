@@ -97,12 +97,12 @@ int main() {
   const Mem budget = 1.5 * inst.min_capacity();
   const Recommendation rec = recommend(inst, budget);
   std::printf("recommended policy at 1.5x: %s (%s)\n",
-              std::string(name_of(rec.primary)).c_str(), rec.rationale.c_str());
+              std::string(rec.primary).c_str(), rec.rationale.c_str());
 
   const SolveResult res = solve({.instance = inst, .capacity = budget},
-                                std::string(name_of(rec.primary)));
+                                rec.primary);
   std::printf("\ncopy-engine / GPU timeline under %s:\n%s",
-              std::string(name_of(rec.primary)).c_str(),
+              std::string(rec.primary).c_str(),
               render_gantt(inst, res.schedule,
                            {.width = 72, .show_legend = false})
                   .c_str());

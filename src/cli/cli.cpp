@@ -514,7 +514,7 @@ int cmd_solve_batch(const CommandLine& cmd, std::ostream& out,
 int cmd_schedule(const CommandLine& cmd, std::ostream& out,
                  std::istream& in) {
   const auto name = cmd.flag("heuristic").value_or("OOSIM");
-  if (!heuristic_from_name(name)) {
+  if (find_heuristic(name) == nullptr) {
     throw std::invalid_argument("unknown heuristic '" + name +
                                 "' (see `dts compare` for the list)");
   }
@@ -538,9 +538,8 @@ int cmd_compare(const CommandLine& cmd, std::ostream& out,
   const SolveResult res = solve(request, "auto");
   TextTable table({"heuristic", "family", "makespan", "ratio to OMIM"});
   for (const CandidateOutcome& o : res.outcomes) {
-    const auto id = heuristic_from_name(o.name);
-    table.add_row({o.name,
-                   id ? std::string(name_of(info(*id).category)) : "?",
+    const Heuristic* h = find_heuristic(o.name);
+    table.add_row({o.name, h ? std::string(name_of(h->family)) : "?",
                    format_seconds(o.makespan),
                    format_fixed(o.makespan / res.bounds.omim, 4)});
   }
@@ -564,7 +563,7 @@ int cmd_recommend(const CommandLine& cmd, std::ostream& out,
   }
   const Recommendation rec = recommend(request.instance, request.capacity);
   out << "capacity regime: " << to_string(rec.regime) << "\n"
-      << "recommended heuristic: " << name_of(rec.primary) << "\n"
+      << "recommended heuristic: " << rec.primary << "\n"
       << "rationale (Table 6): " << rec.rationale << "\n";
   return 0;
 }

@@ -5,60 +5,11 @@
 #include <vector>
 
 #include "core/compiled.hpp"
-#include "core/job.hpp"
-#include "core/johnson.hpp"
-#include "core/simulate.hpp"
-#include "heuristics/bin_packing.hpp"
-#include "heuristics/corrections.hpp"
-#include "heuristics/dynamic.hpp"
-#include "heuristics/gilmore_gomory.hpp"
-#include "heuristics/static_orders.hpp"
+#include "support/parallel_for.hpp"
 
 namespace dts {
 
 namespace {
-
-/// Computes the heuristic's processing order restricted to `ids` by
-/// building the subset instance and mapping positions back to real ids.
-std::vector<TaskId> order_for_batch(HeuristicId id, const Instance& inst,
-                                    std::span<const TaskId> ids, Mem capacity) {
-  const Instance sub = inst.subset(ids);
-  std::vector<TaskId> local;
-  switch (id) {
-    case HeuristicId::kOS:
-      local = sub.submission_order();
-      break;
-    case HeuristicId::kOOSIM:
-      local = static_order(sub, StaticOrderPolicy::kJohnson);
-      break;
-    case HeuristicId::kIOCMS:
-      local = static_order(sub, StaticOrderPolicy::kIncreasingComm);
-      break;
-    case HeuristicId::kDOCPS:
-      local = static_order(sub, StaticOrderPolicy::kDecreasingComp);
-      break;
-    case HeuristicId::kIOCCS:
-      local = static_order(sub, StaticOrderPolicy::kIncreasingCommPlusComp);
-      break;
-    case HeuristicId::kDOCCS:
-      local = static_order(sub, StaticOrderPolicy::kDecreasingCommPlusComp);
-      break;
-    case HeuristicId::kGG:
-      local = gilmore_gomory_order(sub);
-      break;
-    case HeuristicId::kBP:
-      local = bin_packing_order(sub, capacity);
-      break;
-    default:
-      throw std::logic_error("order_for_batch: not a static heuristic");
-  }
-  // Internal edges survive subset(); repair the policy's order against
-  // them (identity on edge-free batches).
-  if (sub.has_dependencies()) local = legalize_order(sub, local);
-  std::vector<TaskId> global(local.size());
-  for (std::size_t k = 0; k < local.size(); ++k) global[k] = ids[local[k]];
-  return global;
-}
 
 /// Batch boundaries walk this sequence. On a DAG the topological order
 /// replaces raw submission so a predecessor always lands in an earlier
@@ -71,50 +22,8 @@ std::vector<TaskId> batch_sequence(const Instance& inst) {
 
 }  // namespace
 
-namespace {
-
-/// Schedules one batch with `id`, continuing from `state`. `ci` is the
-/// compiled form of `inst`, built once per solve so the dynamic and
-/// corrected branches score candidates over the SoA arrays instead of
-/// recompiling (or chasing Task records) per batch; `scratch` keeps their
-/// candidate-index buffers across batches.
-void run_batch(HeuristicId id, const Instance& inst,
-               const CompiledInstance& ci, std::span<const TaskId> ids,
-               Mem capacity, ExecutionState& state, Schedule& sched,
-               detail::CandidateScratch& scratch) {
-  switch (info(id).category) {
-    case HeuristicCategory::kBaseline:
-    case HeuristicCategory::kStatic: {
-      const std::vector<TaskId> order = order_for_batch(id, inst, ids, capacity);
-      execute_order(inst, order, state, sched);
-      break;
-    }
-    case HeuristicCategory::kDynamic: {
-      const DynamicCriterion crit =
-          id == HeuristicId::kLCMR   ? DynamicCriterion::kLargestComm
-          : id == HeuristicId::kSCMR ? DynamicCriterion::kSmallestComm
-                                     : DynamicCriterion::kMaxAcceleration;
-      execute_dynamic(ci, ids, crit, state, sched, scratch);
-      break;
-    }
-    case HeuristicCategory::kCorrected: {
-      const DynamicCriterion crit =
-          id == HeuristicId::kOOLCMR   ? DynamicCriterion::kLargestComm
-          : id == HeuristicId::kOOSCMR ? DynamicCriterion::kSmallestComm
-                                       : DynamicCriterion::kMaxAcceleration;
-      // Base order: Johnson restricted to this batch.
-      const std::vector<TaskId> base =
-          order_for_batch(HeuristicId::kOOSIM, inst, ids, capacity);
-      execute_corrected(ci, base, crit, state, sched, scratch);
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
-                             std::size_t batch_size) {
+Schedule schedule_in_batches(const Heuristic& h, const Instance& inst,
+                             Mem capacity, std::size_t batch_size) {
   if (batch_size == 0) {
     throw std::invalid_argument("schedule_in_batches: batch_size must be > 0");
   }
@@ -127,14 +36,14 @@ Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
-    run_batch(id, inst, compiled, ids, capacity, state, sched, scratch);
+    h.step(inst, compiled, ids, state, sched, scratch);
   }
   return sched;
 }
 
 BatchAutoResult schedule_in_batches_auto(
     const Instance& inst, Mem capacity, std::size_t batch_size,
-    std::span<const HeuristicId> candidates, Executor* executor) {
+    std::span<const Heuristic* const> candidates, Executor& executor) {
   if (batch_size == 0) {
     throw std::invalid_argument(
         "schedule_in_batches_auto: batch_size must be > 0");
@@ -173,17 +82,13 @@ BatchAutoResult schedule_in_batches_auto(
     const auto evaluate = [&](std::size_t k) {
       ExecutionState state(capacity, carried);
       Trial& trial = trials[k];
-      run_batch(candidates[k], inst, compiled, ids, capacity, state,
-                trial.schedule, trial.scratch);
+      candidates[k]->step(inst, compiled, ids, state, trial.schedule,
+                          trial.scratch);
       trial.end = state.comp_available();
       trial.link = state.comm_available();
       trial.state = state.snapshot();
     };
-    if (executor && candidates.size() > 1) {
-      executor->for_each(candidates.size(), evaluate);
-    } else {
-      for (std::size_t k = 0; k < candidates.size(); ++k) evaluate(k);
-    }
+    executor.for_each(candidates.size(), evaluate);
 
     // Fold in candidate order with the strict-preference rule: identical
     // winner to evaluating and comparing one candidate at a time.

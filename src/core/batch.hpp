@@ -6,7 +6,8 @@
 /// This module applies a heuristic to successive batches of `batch_size`
 /// tasks (in submission order), carrying the link/processor availability
 /// and the still-resident memory from one batch into the next — exactly
-/// what a runtime that keeps issuing work would do.
+/// what a runtime that keeps issuing work would do. Each batch is one
+/// Heuristic::step (core/registry.hpp) of a table row.
 
 #include <cstddef>
 #include <span>
@@ -18,15 +19,15 @@
 
 namespace dts {
 
-class Executor;  // job.hpp
+class Executor;  // support/parallel_for.hpp
 
-/// Runs `id` on consecutive batches of `batch_size` tasks sharing one
+/// Runs `h` on consecutive batches of `batch_size` tasks sharing one
 /// execution state. A batch's ordering decisions (Johnson order, GG
 /// sequence, First-Fit bins, dynamic selection...) only consider the tasks
 /// of that batch, mirroring the paper's setup. `batch_size` of 0 is
-/// rejected; a size >= n degenerates to the plain heuristic.
-[[nodiscard]] Schedule schedule_in_batches(HeuristicId id, const Instance& inst,
-                                           Mem capacity,
+/// rejected; on an edge-free instance a size >= n is the plain heuristic.
+[[nodiscard]] Schedule schedule_in_batches(const Heuristic& h,
+                                           const Instance& inst, Mem capacity,
                                            std::size_t batch_size);
 
 /// The online form of the paper's envisioned auto-selecting runtime: for
@@ -37,17 +38,16 @@ class Executor;  // job.hpp
 /// batch.
 struct BatchAutoResult {
   Schedule schedule;
-  std::vector<HeuristicId> winners;  ///< one per batch
+  std::vector<const Heuristic*> winners;  ///< one per batch
 };
 
-/// `executor` (job.hpp; e.g. a SolverPool) fans the per-batch candidate
-/// trials — each an independent simulation of one candidate's subset
-/// instance from the carried engine state — across workers. The committed
-/// winner per batch is identical to the serial evaluation: trials are
-/// independent and the reduction folds them in candidate order with the
-/// same strict-preference rule. Null runs the trials serially.
+/// `executor` (a SerialExecutor, ThreadExecutor or SolverPool) runs the
+/// per-batch candidate trials — each an independent step of one candidate
+/// from the carried engine state. The committed winner per batch is the
+/// same on every executor: trials are independent and the reduction folds
+/// them in candidate order with the same strict-preference rule.
 [[nodiscard]] BatchAutoResult schedule_in_batches_auto(
     const Instance& inst, Mem capacity, std::size_t batch_size,
-    std::span<const HeuristicId> candidates, Executor* executor = nullptr);
+    std::span<const Heuristic* const> candidates, Executor& executor);
 
 }  // namespace dts

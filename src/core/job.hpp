@@ -30,31 +30,9 @@
 
 #include "core/solver.hpp"
 #include "support/contract.hpp"
+#include "support/parallel_for.hpp"
 
 namespace dts {
-
-/// Minimal fan-out interface for solver-internal parallelism: run fn(i)
-/// for every i in [0, n), possibly concurrently; return once all
-/// iterations finished. fn must be safe to call concurrently for distinct
-/// i. SolverPool implements this over its workers with the calling thread
-/// participating, so a pool job may fan its own subtasks without risking
-/// deadlock; SerialExecutor is the trivial single-threaded implementation.
-class Executor {
- public:
-  virtual ~Executor() = default;
-  virtual void for_each(std::size_t n,
-                        const std::function<void(std::size_t)>& fn) = 0;
-};
-
-/// The do-it-inline executor; useful as a stand-in where an Executor* is
-/// required but concurrency is not wanted.
-class SerialExecutor final : public Executor {
- public:
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-};
 
 /// Lifecycle of a job. kDone means the solver ran to natural completion;
 /// a run that stopped early on its deadline or a cancel() lands in

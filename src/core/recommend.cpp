@@ -59,23 +59,23 @@ Recommendation recommend(const Instance& inst, Mem capacity) {
 
   switch (regime) {
     case CapacityRegime::kUnconstrained:
-      return {HeuristicId::kOOSIM, regime,
+      return {"OOSIM", regime,
               "memory capacity is not a restriction: Johnson order is optimal"};
     case CapacityRegime::kModerate:
       if (mixed) {
-        return {HeuristicId::kOOMAMR, regime,
+        return {"OOMAMR", regime,
                 "moderate capacity, significant share of both compute- and "
                 "communication-intensive tasks"};
       }
       if (ci_frac >= 0.65) {
-        return {HeuristicId::kOOSCMR, regime,
+        return {"OOSCMR", regime,
                 "moderate capacity, tasks mostly compute intensive"};
       }
-      return {HeuristicId::kOOLCMR, regime,
+      return {"OOLCMR", regime,
               "moderate capacity, tasks mostly communication intensive"};
     case CapacityRegime::kLimited: {
       if (mixed) {
-        return {HeuristicId::kMAMR, regime,
+        return {"MAMR", regime,
                 "limited capacity, significant share of both task types"};
       }
       // Does compute-intensity live in the small-communication tasks (HF's
@@ -84,16 +84,16 @@ Recommendation recommend(const Instance& inst, Mem capacity) {
           mean_comm(inst, [](const Task& t) { return t.compute_intensive(); });
       const Time all_comm = mean_comm(inst, [](const Task&) { return true; });
       if (ci_comm <= all_comm) {
-        return {HeuristicId::kSCMR, regime,
+        return {"SCMR", regime,
                 "limited capacity, compute-intensive tasks have small "
                 "communication times"};
       }
-      return {HeuristicId::kLCMR, regime,
+      return {"LCMR", regime,
               "limited capacity, compute-intensive tasks have large "
               "communication times"};
     }
   }
-  return {HeuristicId::kOOSIM, CapacityRegime::kUnconstrained, "fallback"};
+  return {"OOSIM", CapacityRegime::kUnconstrained, "fallback"};
 }
 
 }  // namespace dts

@@ -8,9 +8,9 @@
 /// recommendations empirically against synthetic workloads of each regime.
 
 #include <string>
+#include <string_view>
 
 #include "core/instance.hpp"
-#include "core/registry.hpp"
 
 namespace dts {
 
@@ -32,7 +32,7 @@ enum class CapacityRegime {
                                                Mem capacity);
 
 struct Recommendation {
-  HeuristicId primary;
+  std::string_view primary;  ///< acronym of a heuristic-table row
   CapacityRegime regime;
   std::string rationale;  ///< the matching Table 6 row, spelled out
 };

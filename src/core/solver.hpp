@@ -27,10 +27,9 @@
 /// capability is a compile error, not a silent "any".
 ///
 /// Names are parameterized with ':' — "auto-batch:16" is the base key
-/// "auto-batch" with argument "16". The legacy free functions
-/// (run_heuristic, auto_schedule, schedule_in_batches, ...) remain the
-/// underlying implementations; solve() reproduces their makespans
-/// bit-for-bit (tests/solver_test.cpp).
+/// "auto-batch" with argument "16". The 14 heuristic solvers, "auto" and
+/// "auto-batch" are views of one heuristic table (core/registry.hpp);
+/// tests/heuristic_parity_test.cpp pins their schedules bit for bit.
 
 #include <atomic>
 #include <chrono>
@@ -52,7 +51,7 @@
 
 namespace dts {
 
-class Executor;  // job.hpp: fan-out interface implemented by SolverPool
+class Executor;  // support/parallel_for.hpp
 
 /// Which hardware to solve for: unset (the instance's own measured
 /// times), a MachineRegistry key resolved lazily at solve() time, or an
@@ -170,19 +169,19 @@ struct SolveOptions {
   std::size_t max_no_improve = 2000;
   /// Seed for randomized solvers (local search neighborhood order).
   std::uint64_t seed = 1;
-  /// Evaluate independent candidates of the auto-scheduler with
-  /// support/parallel_for. The winner is identical either way (the
+  /// Run the independent candidates of auto and auto-batch concurrently:
+  /// on `executor` when set, on fresh threads (ThreadExecutor) otherwise;
+  /// off runs them serially. The winner is identical either way (the
   /// reduction is deterministic); this only buys wall time.
   bool parallel_candidates = true;
-  /// Optional fan-out surface (job.hpp) for solver-internal parallelism:
-  /// auto/batch-auto candidate trials (still gated by
-  /// parallel_candidates, which remains the on/off switch) and the
-  /// exhaustive window enumeration run their independent subtasks
+  /// Optional fan-out surface (support/parallel_for.hpp) for
+  /// solver-internal parallelism: auto/auto-batch candidate trials (still
+  /// gated by parallel_candidates, which remains the on/off switch) and
+  /// the exhaustive window enumeration run their independent subtasks
   /// through it. SolverPool is an Executor, so a service can share one
   /// worker crew between whole jobs and their inner fan-out; pool jobs
-  /// that leave this unset get the pool installed automatically. Null
-  /// means the solver's built-in behavior (parallel_for or serial).
-  /// Results are identical either way.
+  /// that leave this unset get the pool installed automatically. Results
+  /// are identical either way.
   Executor* executor = nullptr;
   /// Fill SolveResult::bounds (OMIM + capacity-aware bounds). Sweeps that
   /// already track bounds per trace disable this to skip the recompute.

@@ -2,19 +2,18 @@
 /// Adapters that put every strategy of the library behind the unified
 /// Solver interface: the 14 paper heuristics, the auto-scheduler (full and
 /// batched), local search, the duplex-aware balance order, the exact
-/// solvers and the window heuristic. Each adapter delegates to the legacy
-/// free function, so solve() reproduces the legacy makespans bit-for-bit.
+/// solvers and the window heuristic. The heuristic solvers are views of
+/// the heuristic table (core/registry.hpp); the others delegate to their
+/// library entry points.
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "core/auto_scheduler.hpp"
 #include "core/batch.hpp"
-#include "core/job.hpp"
+#include "core/compiled.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "exact/branch_bound.hpp"
@@ -49,15 +48,25 @@ Time makespan_of(const SolveRequest& request, const Schedule& schedule) {
   return request.instance.empty() ? 0.0 : schedule.makespan(request.instance);
 }
 
-/// One paper heuristic by acronym; honors the request's batch window via
+/// Where auto's candidate runs go: parallel_candidates switches fan-out
+/// on, options.executor (e.g. a SolverPool) says where it runs, and
+/// fresh threads run it otherwise. Results are the same on every executor.
+Executor& candidate_executor(const SolveOptions& options) {
+  static SerialExecutor serial;
+  static ThreadExecutor threads;
+  if (!options.parallel_candidates) return serial;
+  return options.executor != nullptr ? *options.executor : threads;
+}
+
+/// One row of the heuristic table; honors the request's batch window via
 /// the batch runtime.
 class HeuristicSolver final : public Solver {
  public:
-  HeuristicSolver(HeuristicId id, std::string name)
-      : id_(id), name_(std::move(name)) {}
+  explicit HeuristicSolver(const Heuristic& heuristic)
+      : heuristic_(heuristic) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
+    return heuristic_.name;
   }
 
   [[nodiscard]] SolveResult run(const SolveRequest& request,
@@ -65,49 +74,27 @@ class HeuristicSolver final : public Solver {
     SolveResult result;
     result.schedule =
         request.batch_size
-            ? schedule_in_batches(id_, request.instance, request.capacity,
-                                  *request.batch_size)
-            : run_heuristic(id_, request.instance, request.capacity);
+            ? schedule_in_batches(heuristic_, request.instance,
+                                  request.capacity, *request.batch_size)
+            : heuristic_.run(request.instance,
+                             CompiledInstance(request.instance),
+                             request.capacity);
     result.makespan = makespan_of(request, result.schedule);
-    result.winner = std::string(name_of(id_));
+    result.winner = std::string(heuristic_.name);
     result.evaluations = 1;
     return result;
   }
 
  private:
-  HeuristicId id_;
-  std::string name_;
+  const Heuristic& heuristic_;
 };
 
-/// Per-batch win counts -> outcomes + overall winner (most wins, ties to
-/// the earlier candidate in display order).
-void fill_batch_outcomes(const std::vector<HeuristicId>& candidates,
-                         const std::vector<HeuristicId>& winners,
-                         SolveResult& result) {
-  result.outcomes.clear();
-  for (HeuristicId id : candidates) {
-    CandidateOutcome outcome;
-    outcome.name = std::string(name_of(id));
-    outcome.batch_wins = static_cast<std::size_t>(
-        std::count(winners.begin(), winners.end(), id));
-    result.outcomes.push_back(std::move(outcome));
-  }
-  const auto best = std::max_element(
-      result.outcomes.begin(), result.outcomes.end(),
-      [](const CandidateOutcome& a, const CandidateOutcome& b) {
-        return a.batch_wins < b.batch_wins;  // first max wins ties
-      });
-  if (best != result.outcomes.end()) result.winner = best->name;
-}
-
 /// The paper's envisioned runtime: evaluate every candidate, keep the
-/// best. Candidate evaluation optionally fans out over
-/// support/parallel_for; the reduction scans candidates in display order
-/// with a strict-less comparison, so the winner is identical to the serial
-/// auto_schedule fold.
+/// best (best_of), or — under a batch window — commit the best candidate
+/// batch by batch (schedule_in_batches_auto).
 class AutoSolver final : public Solver {
  public:
-  AutoSolver(std::vector<HeuristicId> candidates, std::string name,
+  AutoSolver(std::vector<const Heuristic*> candidates, std::string name,
              std::optional<std::size_t> forced_batch)
       : candidates_(std::move(candidates)),
         name_(std::move(name)),
@@ -119,13 +106,6 @@ class AutoSolver final : public Solver {
 
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    if (!request.instance.empty() &&
-        definitely_less(request.capacity, request.instance.min_capacity())) {
-      // parallel_for fail-fast would turn this user error into an abort;
-      // surface it as the invalid_argument the legacy entry points throw.
-      throw std::invalid_argument(
-          "auto: a task exceeds the memory capacity");
-    }
     const std::optional<std::size_t> batch =
         forced_batch_ ? forced_batch_ : request.batch_size;
     return batch ? run_batched(request, *batch, options)
@@ -135,42 +115,18 @@ class AutoSolver final : public Solver {
  private:
   [[nodiscard]] SolveResult run_full(const SolveRequest& request,
                                      const SolveOptions& options) const {
+    BestOf best = best_of(candidates_, request.instance, request.capacity,
+                          candidate_executor(options));
     SolveResult result;
-    std::vector<Schedule> schedules(candidates_.size());
-    std::vector<Time> makespans(candidates_.size(), kInfiniteTime);
-    std::vector<double> walls(candidates_.size(), 0.0);
-    const auto evaluate = [&](std::size_t k) {
-      const auto start = std::chrono::steady_clock::now();
-      schedules[k] =
-          run_heuristic(candidates_[k], request.instance, request.capacity);
-      makespans[k] = makespan_of(request, schedules[k]);
-      walls[k] = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    };
-    // parallel_candidates stays the master switch for candidate fan-out;
-    // the executor only changes *where* the concurrency runs.
-    if (options.parallel_candidates && candidates_.size() > 1) {
-      if (options.executor) {
-        options.executor->for_each(candidates_.size(), evaluate);
-      } else {
-        parallel_for(0, candidates_.size(), evaluate);
-      }
-    } else {
-      for (std::size_t k = 0; k < candidates_.size(); ++k) evaluate(k);
-    }
-    std::size_t best = 0;
-    for (std::size_t k = 0; k < candidates_.size(); ++k) {
+    for (const CandidateRun& run : best.runs) {
       result.outcomes.push_back(CandidateOutcome{
-          std::string(name_of(candidates_[k])), makespans[k], 0, walls[k]});
-      if (makespans[k] < makespans[best]) best = k;
+          std::string(run.heuristic->name), run.makespan, 0,
+          run.wall_seconds});
     }
-    if (!candidates_.empty()) {
-      result.winner = std::string(name_of(candidates_[best]));
-      result.schedule = std::move(schedules[best]);
-      result.makespan = makespans[best];
-    }
-    if (request.instance.empty()) result.makespan = 0.0;
+    CandidateRun& winner = best.runs[best.best];
+    result.winner = std::string(winner.heuristic->name);
+    result.schedule = std::move(winner.schedule);
+    result.makespan = winner.makespan;
     result.evaluations = candidates_.size();
     return result;
   }
@@ -178,13 +134,28 @@ class AutoSolver final : public Solver {
   [[nodiscard]] SolveResult run_batched(const SolveRequest& request,
                                         std::size_t batch,
                                         const SolveOptions& options) const {
-    SolveResult result;
     BatchAutoResult res = schedule_in_batches_auto(
         request.instance, request.capacity, batch, candidates_,
-        options.parallel_candidates ? options.executor : nullptr);
+        candidate_executor(options));
+    SolveResult result;
     result.schedule = std::move(res.schedule);
     result.makespan = makespan_of(request, result.schedule);
-    fill_batch_outcomes(candidates_, res.winners, result);
+    // Per-batch win counts; the overall winner has the most wins (ties to
+    // the earlier candidate in display order).
+    for (const Heuristic* h : candidates_) {
+      CandidateOutcome outcome;
+      outcome.name = std::string(h->name);
+      outcome.batch_wins = static_cast<std::size_t>(
+          std::count(res.winners.begin(), res.winners.end(), h));
+      result.outcomes.push_back(std::move(outcome));
+    }
+    result.winner = std::max_element(result.outcomes.begin(),
+                                     result.outcomes.end(),
+                                     [](const CandidateOutcome& a,
+                                        const CandidateOutcome& b) {
+                                       return a.batch_wins < b.batch_wins;
+                                     })
+                        ->name;
     result.evaluations = candidates_.size() * res.winners.size();
     std::ostringstream detail;
     detail << res.winners.size() << " batches of " << batch;
@@ -192,25 +163,36 @@ class AutoSolver final : public Solver {
     return result;
   }
 
-  std::vector<HeuristicId> candidates_;
+  std::vector<const Heuristic*> candidates_;
   std::string name_;
   std::optional<std::size_t> forced_batch_;
 };
 
-std::vector<HeuristicId> candidates_for(const SolverSpec& spec,
-                                        std::size_t arg_index) {
-  if (arg_index >= spec.args.size()) return all_heuristic_ids();
-  const std::string& family = spec.args[arg_index];
-  if (family == "all") return all_heuristic_ids();
-  if (family == "baseline") return heuristics_in(HeuristicCategory::kBaseline);
-  if (family == "static") return heuristics_in(HeuristicCategory::kStatic);
-  if (family == "dynamic") return heuristics_in(HeuristicCategory::kDynamic);
-  if (family == "corrected") {
-    return heuristics_in(HeuristicCategory::kCorrected);
+/// The rows of the family named by `spec.args[arg_index]` (every row
+/// when absent or "all").
+std::vector<const Heuristic*> candidates_for(const SolverSpec& spec,
+                                             std::size_t arg_index) {
+  const std::string family =
+      arg_index < spec.args.size() ? spec.args[arg_index] : "all";
+  std::optional<HeuristicFamily> wanted;
+  if (family == "baseline") {
+    wanted = HeuristicFamily::kBaseline;
+  } else if (family == "static") {
+    wanted = HeuristicFamily::kStatic;
+  } else if (family == "dynamic") {
+    wanted = HeuristicFamily::kDynamic;
+  } else if (family == "corrected") {
+    wanted = HeuristicFamily::kCorrected;
+  } else if (family != "all") {
+    throw std::invalid_argument(
+        "solver '" + spec.full + "': unknown candidate family '" + family +
+        "' (use all, baseline, static, dynamic or corrected)");
   }
-  throw std::invalid_argument(
-      "solver '" + spec.full + "': unknown candidate family '" + family +
-      "' (use all, baseline, static, dynamic or corrected)");
+  std::vector<const Heuristic*> rows;
+  for (const Heuristic& h : heuristics()) {
+    if (!wanted || h.family == *wanted) rows.push_back(&h);
+  }
+  return rows;
 }
 
 /// Hill climbing on top of the best registry heuristic (local_search.hpp).
@@ -286,8 +268,9 @@ class BranchBoundSolver final : public Solver {
     result.evaluations = res.pairs_simulated;
     if (res.makespan == kInfiniteTime) {
       // Stopped before any feasible pair was simulated to completion.
-      result.schedule =
-          run_heuristic(HeuristicId::kOS, request.instance, request.capacity);
+      result.schedule = find_heuristic("OS")->run(
+          request.instance, CompiledInstance(request.instance),
+          request.capacity);
       result.makespan = makespan_of(request, result.schedule);
       result.detail = "stopped before the first incumbent; submission order";
     } else {
@@ -479,12 +462,12 @@ WindowOptions parse_window_spec(const SolverSpec& spec) {
 namespace detail {
 
 void register_builtin_solvers(SolverRegistry& registry) {
-  for (const HeuristicInfo& h : all_heuristics()) {
+  for (const Heuristic& h : heuristics()) {
     registry.add(std::string(h.name), "", std::string(h.description),
                  SolverChannels::kAny, SolverDeps::kAny,
-                 [id = h.id](const SolverSpec& spec) {
+                 [&h](const SolverSpec& spec) {
                    expect_no_args(spec);
-                   return std::make_unique<HeuristicSolver>(id, spec.full);
+                   return std::make_unique<HeuristicSolver>(h);
                  });
   }
   registry.add(
@@ -507,7 +490,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
           throw std::invalid_argument("solver '" + spec.full +
                                       "': expected at most one argument");
         }
-        return std::make_unique<AutoSolver>(all_heuristic_ids(), spec.full,
+        return std::make_unique<AutoSolver>(candidates_for(spec, 1), spec.full,
                                             spec.size_arg(0, 16));
       });
   registry.add("local-search", "",

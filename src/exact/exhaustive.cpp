@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "core/compiled.hpp"
-#include "core/job.hpp"
+#include "support/parallel_for.hpp"
 
 namespace dts {
 

@@ -16,7 +16,7 @@
 
 namespace dts {
 
-class Executor;  // job.hpp
+class Executor;  // support/parallel_for.hpp
 
 struct ExhaustiveResult {
   Time makespan = kInfiniteTime;
@@ -40,12 +40,12 @@ struct ExhaustiveOptions {
   /// carried snapshot. Empty means none. The instance's own edges are
   /// enforced by the engine either way.
   std::vector<Time> ready_times;
-  /// Optional fan-out (job.hpp): the enumeration splits into one branch
-  /// per value-distinct first task and scans the branches concurrently.
-  /// The branches partition the serial enumeration, and the final fold
-  /// applies the same strict-preference rule in the serial order, so the
-  /// optimum (and its tie-breaking) match the serial search. Used for
-  /// instances of 6+ tasks; smaller searches stay serial.
+  /// Optional fan-out (support/parallel_for.hpp): the enumeration splits
+  /// into one branch per value-distinct first task and scans the branches
+  /// concurrently. The branches partition the serial enumeration, and the
+  /// final fold applies the same strict-preference rule in the serial
+  /// order, so the optimum (and its tie-breaking) match the serial search.
+  /// Used for instances of 6+ tasks; smaller searches stay serial.
   Executor* executor = nullptr;
 };
 

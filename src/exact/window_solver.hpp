@@ -30,7 +30,7 @@
 
 namespace dts {
 
-class Executor;  // job.hpp
+class Executor;  // support/parallel_for.hpp
 
 enum class WindowMode {
   kCommonOrder,
@@ -45,10 +45,11 @@ struct WindowOptions {
   /// order from the carried engine state, so the result is always a
   /// complete feasible schedule.
   std::function<bool()> should_stop;
-  /// Optional fan-out (job.hpp): each window's common-order enumeration
-  /// splits its first-task branches across workers (see
-  /// ExhaustiveOptions::executor); the window-by-window outer loop stays
-  /// sequential (each window starts from the previous one's state).
+  /// Optional fan-out (support/parallel_for.hpp): each window's
+  /// common-order enumeration splits its first-task branches across
+  /// workers (see ExhaustiveOptions::executor); the window-by-window outer
+  /// loop stays sequential (each window starts from the previous one's
+  /// state).
   Executor* executor = nullptr;
   /// Pair mode only: feed each window search the carried-state-valid
   /// capacity-aware lower bound, so it stops as soon as an incumbent

@@ -8,11 +8,9 @@
 /// and so on. The intuition: tasks sharing a bin are guaranteed to fit in
 /// memory together, so transfers inside a bin can proceed back-to-back.
 
-#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
-#include "core/schedule.hpp"
 
 namespace dts {
 
@@ -25,8 +23,5 @@ namespace dts {
 /// Concatenation of the First-Fit bins — the BP sequence.
 [[nodiscard]] std::vector<TaskId> bin_packing_order(const Instance& inst,
                                                     Mem capacity);
-
-/// BP sequence executed under the same capacity.
-[[nodiscard]] Schedule schedule_bin_packing(const Instance& inst, Mem capacity);
 
 }  // namespace dts

@@ -2,18 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/johnson.hpp"
-
 namespace dts {
-
-std::string_view to_corrected_acronym(DynamicCriterion c) noexcept {
-  switch (c) {
-    case DynamicCriterion::kLargestComm: return "OOLCMR";
-    case DynamicCriterion::kSmallestComm: return "OOSCMR";
-    case DynamicCriterion::kMaxAcceleration: return "OOMAMR";
-  }
-  return "?";
-}
 
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
@@ -33,14 +22,6 @@ void execute_corrected(const CompiledInstance& ci,
   }
 }
 
-void execute_corrected(const CompiledInstance& ci,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
-  detail::CandidateScratch scratch;
-  execute_corrected(ci, base_order, criterion, state, out, scratch);
-}
-
 Schedule schedule_corrected_with_order(const Instance& inst,
                                        std::span<const TaskId> base_order,
                                        DynamicCriterion criterion,
@@ -51,16 +32,10 @@ Schedule schedule_corrected_with_order(const Instance& inst,
   }
   ExecutionState state(capacity, inst.num_channels());
   Schedule sched(inst.size());
+  detail::CandidateScratch scratch;
   execute_corrected(CompiledInstance(inst), base_order, criterion, state,
-                    sched);
+                    sched, scratch);
   return sched;
-}
-
-Schedule schedule_corrected(const Instance& inst, DynamicCriterion criterion,
-                            Mem capacity) {
-  std::vector<TaskId> base = johnson_order(inst);
-  if (inst.has_dependencies()) base = legalize_order(inst, base);
-  return schedule_corrected_with_order(inst, base, criterion, capacity);
 }
 
 }  // namespace dts

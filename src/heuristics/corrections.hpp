@@ -16,7 +16,6 @@
 /// releases memory, after which the head of the order gets priority again.
 
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -26,23 +25,14 @@
 
 namespace dts {
 
-/// Paper acronym of the corrected heuristic ("OOLCMR", ...).
-[[nodiscard]] std::string_view to_corrected_acronym(DynamicCriterion c) noexcept;
-
 /// Runs the corrected policy over `base_order` (ids into `ci`) on an
 /// existing engine, writing start times into `out`. The one home of the
 /// correction loop (tools/dts_lint.py `executor-one-home`); its dynamic
 /// fallback is the step execute_dynamic takes, dependency gating
 /// included. Repeated callers compile the instance once and reuse it. The
 /// head of the order is a cursor into the candidate index, so a schedule
-/// costs O(n log n) like execute_dynamic's (see dynamic.hpp).
-void execute_corrected(const CompiledInstance& ci,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out);
-
-/// Same, on caller-owned candidate buffers (reused across batches; tests
-/// switch on the scratch's oracle check and read its counters).
+/// costs O(n log n) like execute_dynamic's (see dynamic.hpp); `scratch`
+/// holds the candidate buffers, as there.
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
@@ -53,11 +43,5 @@ void execute_corrected(const CompiledInstance& ci,
 [[nodiscard]] Schedule schedule_corrected_with_order(
     const Instance& inst, std::span<const TaskId> base_order,
     DynamicCriterion criterion, Mem capacity);
-
-/// Corrected policy with the Johnson (OMIM) base order — the paper's
-/// OOLCMR / OOSCMR / OOMAMR heuristics.
-[[nodiscard]] Schedule schedule_corrected(const Instance& inst,
-                                          DynamicCriterion criterion,
-                                          Mem capacity);
 
 }  // namespace dts

@@ -10,15 +10,6 @@
 
 namespace dts {
 
-std::string_view to_acronym(DynamicCriterion c) noexcept {
-  switch (c) {
-    case DynamicCriterion::kLargestComm: return "LCMR";
-    case DynamicCriterion::kSmallestComm: return "SCMR";
-    case DynamicCriterion::kMaxAcceleration: return "MAMR";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Strictly better under the criterion (used after the idle filter).
@@ -576,22 +567,6 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
   while (!scratch.empty()) {
     detail::dynamic_step("execute_dynamic", ci, state, out, scratch);
   }
-}
-
-void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out) {
-  detail::CandidateScratch scratch;
-  execute_dynamic(ci, ids, criterion, state, out, scratch);
-}
-
-Schedule schedule_dynamic(const Instance& inst, DynamicCriterion criterion,
-                          Mem capacity) {
-  ExecutionState state(capacity, inst.num_channels());
-  Schedule sched(inst.size());
-  const std::vector<TaskId> ids = inst.submission_order();
-  execute_dynamic(CompiledInstance(inst), ids, criterion, state, sched);
-  return sched;
 }
 
 }  // namespace dts

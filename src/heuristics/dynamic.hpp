@@ -52,7 +52,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,9 +67,6 @@ enum class DynamicCriterion {
   kSmallestComm,     ///< SCMR / OOSCMR
   kMaxAcceleration,  ///< MAMR / OOMAMR
 };
-
-/// Paper acronym of the pure dynamic heuristic ("LCMR", ...).
-[[nodiscard]] std::string_view to_acronym(DynamicCriterion c) noexcept;
 
 /// Among `candidates` (ids into `ci`, all assumed to fit in memory at the
 /// engine's current instant), returns the id preferred by the paper's rule:
@@ -102,21 +98,12 @@ class CandidateScratch;
 ///
 /// The one home of the scheduling loop and its dependency gating
 /// (tools/dts_lint.py `executor-one-home` keeps it that way); callers
-/// compile the instance once and reuse it.
-void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out);
-
-/// Same, on caller-owned candidate buffers (reused across batches; tests
-/// switch on the scratch's oracle check and read its counters).
+/// compile the instance once and reuse it, and own the candidate buffers
+/// (`scratch`, reused across batches; tests switch on its oracle check
+/// and read its counters).
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, ExecutionState& state,
                      Schedule& out, detail::CandidateScratch& scratch);
-
-/// Convenience: run on a fresh engine over all tasks.
-[[nodiscard]] Schedule schedule_dynamic(const Instance& inst,
-                                        DynamicCriterion criterion,
-                                        Mem capacity);
 
 namespace detail {
 

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/auto_scheduler.hpp"
 #include "core/compiled.hpp"
+#include "core/registry.hpp"
 #include "core/simulate.hpp"
+#include "support/parallel_for.hpp"
 #include "support/rng.hpp"
 
 namespace dts {
@@ -124,8 +125,13 @@ LocalSearchResult schedule_local_search(const Instance& inst, Mem capacity,
     result.stopped = true;
     return result;
   }
-  const AutoScheduleResult seed = auto_schedule(inst, capacity);
-  const std::vector<TaskId> initial = seed.schedule.comm_order();
+  // Seed: the best row of the heuristic table, the `auto` fold run inline.
+  std::vector<const Heuristic*> rows;
+  for (const Heuristic& h : heuristics()) rows.push_back(&h);
+  SerialExecutor serial;
+  const BestOf seed = best_of(rows, inst, capacity, serial);
+  const std::vector<TaskId> initial =
+      seed.runs[seed.best].schedule.comm_order();
   return improve_order(inst, capacity, initial, options);
 }
 

@@ -15,13 +15,9 @@
 /// All sorts are stable so equal keys preserve submission order, making
 /// every heuristic deterministic.
 
-#include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/instance.hpp"
-#include "core/schedule.hpp"
-#include "core/simulate.hpp"
 
 namespace dts {
 
@@ -38,12 +34,5 @@ enum class StaticOrderPolicy {
 /// involved at this stage).
 [[nodiscard]] std::vector<TaskId> static_order(const Instance& inst,
                                                StaticOrderPolicy policy);
-
-/// Executes the policy's order under `capacity` on a fresh engine.
-[[nodiscard]] Schedule schedule_static(const Instance& inst,
-                                       StaticOrderPolicy policy, Mem capacity);
-
-/// Paper acronym for the policy (e.g. "IOCMS").
-[[nodiscard]] std::string_view to_acronym(StaticOrderPolicy policy) noexcept;
 
 }  // namespace dts

@@ -192,8 +192,9 @@ MilpResult solve_order_milp(const Instance& inst, Mem capacity,
   // best heuristic.
   Incumbent best;
   Schedule scratch(n);
-  for (HeuristicId id : all_heuristic_ids()) {
-    const Schedule s = run_heuristic(id, inst, capacity);
+  const CompiledInstance ci(inst);
+  for (const Heuristic& h : heuristics()) {
+    const Schedule s = h.run(inst, ci, capacity);
     try_improve(inst, capacity, fresh, s.comm_order(), s.comp_order(), best,
                 scratch);
   }
@@ -219,7 +220,6 @@ MilpResult solve_order_milp(const Instance& inst, Mem capacity,
     return finish(/*proved=*/true, ext_lb);
   }
 
-  const CompiledInstance ci(inst);
   milp::OrderModelBuilder builder(ci, options.grid, best.makespan);
   milp::SimplexSolver simplex;
   const std::size_t n_pairs = builder.num_pairs();

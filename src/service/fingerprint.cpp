@@ -61,7 +61,16 @@ struct TaskKey {
         comm(double_bits(t.comm)),
         comp(double_bits(t.comp)),
         mem(double_bits(t.mem)),
-        bytes(double_bits(t.comm_bytes)) {}
+        bytes(double_bits(t.comm_bytes)) {
+    // Field coverage, checked by the compiler: the binding names every
+    // member of Task, so a new field stops the build here until someone
+    // decides whether it is keyed. Hashed: channel, comm, comp, mem and
+    // bytes (this key) and deps (absorb_edges, through the canonical
+    // slots). Labels, never hashed: id (the submission position) and name.
+    [[maybe_unused]] const auto& [label_id, key_comm, key_comp, key_mem,
+                                  key_channel, key_bytes, edges, label_name] =
+        t;
+  }
 
   [[nodiscard]] auto tie() const noexcept {
     return std::tie(channel, comm, comp, mem, bytes);

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "core/auto_scheduler.hpp"
 #include "core/johnson.hpp"
 #include "core/recommend.hpp"
+#include "core/registry.hpp"
 #include "core/validate.hpp"
+#include "support/parallel_for.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -14,11 +15,11 @@ TEST(AutoScheduler, PicksTheBestCandidate) {
   for (int iter = 0; iter < 30; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const AutoScheduleResult res = auto_schedule(inst, capacity);
-    ASSERT_EQ(res.outcomes.size(), all_heuristics().size());
-    for (const HeuristicOutcome& o : res.outcomes) {
+    const SolveResult res = testing::solve_named(inst, capacity, "auto");
+    ASSERT_EQ(res.outcomes.size(), heuristics().size());
+    for (const CandidateOutcome& o : res.outcomes) {
       EXPECT_LE(res.makespan, o.makespan + 1e-9)
-          << name_of(res.best) << " vs " << name_of(o.id);
+          << res.winner << " vs " << o.name;
     }
     EXPECT_TRUE(testing::feasible(inst, res.schedule, capacity));
     EXPECT_GE(res.ratio_to_optimal(), 1.0 - 1e-9);
@@ -27,25 +28,29 @@ TEST(AutoScheduler, PicksTheBestCandidate) {
 
 TEST(AutoScheduler, RestrictedCandidateSet) {
   const Instance inst = testing::table3_instance();
-  const std::vector<HeuristicId> only{HeuristicId::kDOCPS};
-  const AutoScheduleResult res =
-      auto_schedule(inst, testing::kTable3Capacity, only);
-  EXPECT_EQ(res.best, HeuristicId::kDOCPS);
-  EXPECT_DOUBLE_EQ(res.makespan, 14.0);  // Fig. 4 value
+  const std::vector<const Heuristic*> only{find_heuristic("DOCPS")};
+  SerialExecutor serial;
+  const BestOf res = best_of(only, inst, testing::kTable3Capacity, serial);
+  ASSERT_EQ(res.runs.size(), 1u);
+  EXPECT_EQ(res.runs[res.best].heuristic->name, "DOCPS");
+  EXPECT_DOUBLE_EQ(res.runs[res.best].makespan, 14.0);  // Fig. 4 value
 }
 
 TEST(AutoScheduler, TieGoesToEarlierCandidate) {
   // With unconstrained memory, OOSIM and the corrections variants all
   // produce the Johnson makespan; the first listed candidate must win.
   const Instance inst = testing::table3_instance();
-  const std::vector<HeuristicId> candidates{
-      HeuristicId::kOOSIM, HeuristicId::kOOLCMR, HeuristicId::kOOSCMR};
-  const AutoScheduleResult res = auto_schedule(inst, kInfiniteMem, candidates);
-  EXPECT_EQ(res.best, HeuristicId::kOOSIM);
+  const std::vector<const Heuristic*> candidates{find_heuristic("OOSIM"),
+                                                 find_heuristic("OOLCMR"),
+                                                 find_heuristic("OOSCMR")};
+  SerialExecutor serial;
+  const BestOf res = best_of(candidates, inst, kInfiniteMem, serial);
+  EXPECT_EQ(res.runs[0].makespan, res.runs[1].makespan);
+  EXPECT_EQ(res.best, 0u);
 }
 
 TEST(AutoScheduler, EmptyInstance) {
-  const AutoScheduleResult res = auto_schedule(Instance{}, 1.0);
+  const SolveResult res = testing::solve_named(Instance{}, 1.0, "auto");
   EXPECT_DOUBLE_EQ(res.makespan, 0.0);
   EXPECT_DOUBLE_EQ(res.ratio_to_optimal(), 1.0);
 }
@@ -55,7 +60,7 @@ TEST(Recommend, UnconstrainedCapacityFavorsJohnson) {
   const Mem generous = peak_memory(inst, johnson_schedule(inst));
   const Recommendation rec = recommend(inst, generous);
   EXPECT_EQ(rec.regime, CapacityRegime::kUnconstrained);
-  EXPECT_EQ(rec.primary, HeuristicId::kOOSIM);
+  EXPECT_EQ(rec.primary, "OOSIM");
 }
 
 TEST(Recommend, RegimeClassification) {
@@ -80,7 +85,7 @@ TEST(Recommend, LimitedCapacitySmallCommComputeTasksFavorScmr) {
   const Instance inst{std::move(tasks)};
   const Recommendation rec = recommend(inst, inst.min_capacity() * 1.1);
   EXPECT_EQ(rec.regime, CapacityRegime::kLimited);
-  EXPECT_EQ(rec.primary, HeuristicId::kSCMR);
+  EXPECT_EQ(rec.primary, "SCMR");
 }
 
 TEST(Recommend, LimitedCapacityLargeCommComputeTasksFavorLcmr) {
@@ -94,7 +99,7 @@ TEST(Recommend, LimitedCapacityLargeCommComputeTasksFavorLcmr) {
   const Instance inst{std::move(tasks)};
   const Recommendation rec = recommend(inst, inst.min_capacity() * 1.1);
   EXPECT_EQ(rec.regime, CapacityRegime::kLimited);
-  EXPECT_EQ(rec.primary, HeuristicId::kLCMR);
+  EXPECT_EQ(rec.primary, "LCMR");
 }
 
 TEST(Recommend, MixedWorkloadsFavorAccelerationVariants) {
@@ -105,20 +110,22 @@ TEST(Recommend, MixedWorkloadsFavorAccelerationVariants) {
   }
   const Instance inst{std::move(tasks)};
   const Recommendation limited = recommend(inst, inst.min_capacity() * 1.05);
-  EXPECT_EQ(limited.primary, HeuristicId::kMAMR);
+  EXPECT_EQ(limited.primary, "MAMR");
   // Moderate capacity: corrected variant.
   const Mem peak = peak_memory(inst, johnson_schedule(inst));
   if (inst.min_capacity() * 1.8 < peak) {
     const Recommendation moderate = recommend(inst, inst.min_capacity() * 1.8);
     EXPECT_EQ(moderate.regime, CapacityRegime::kModerate);
-    EXPECT_EQ(moderate.primary, HeuristicId::kOOMAMR);
+    EXPECT_EQ(moderate.primary, "OOMAMR");
   }
 }
 
 TEST(Recommend, RationaleIsNonEmpty) {
   const Instance inst = testing::table4_instance();
   for (double f : {1.0, 1.6, 10.0}) {
-    EXPECT_FALSE(recommend(inst, inst.min_capacity() * f).rationale.empty());
+    const Recommendation rec = recommend(inst, inst.min_capacity() * f);
+    EXPECT_FALSE(rec.rationale.empty());
+    EXPECT_NE(find_heuristic(rec.primary), nullptr) << rec.primary;
   }
 }
 

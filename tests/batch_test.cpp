@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
+#include "support/parallel_for.hpp"
 #include "test_util.hpp"
 
 namespace dts {
 namespace {
 
+const Heuristic& row(const char* name) { return *find_heuristic(name); }
+
 TEST(Batch, RejectsZeroBatchSize) {
   const Instance inst = testing::table3_instance();
   EXPECT_THROW(
-      (void)schedule_in_batches(HeuristicId::kOOSIM, inst, 6.0, 0),
+      (void)schedule_in_batches(row("OOSIM"), inst, 6.0, 0),
       std::invalid_argument);
 }
 
@@ -20,41 +23,43 @@ TEST(Batch, WholeInstanceBatchEqualsPlainHeuristic) {
   for (int iter = 0; iter < 20; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (HeuristicId id : all_heuristic_ids()) {
+    for (const Heuristic& h : heuristics()) {
       const Schedule batched =
-          schedule_in_batches(id, inst, capacity, inst.size());
-      const Schedule plain = run_heuristic(id, inst, capacity);
+          schedule_in_batches(h, inst, capacity, inst.size());
+      const Schedule plain =
+          testing::solve_named(inst, capacity, h.name).schedule;
       for (TaskId i = 0; i < inst.size(); ++i) {
         EXPECT_DOUBLE_EQ(batched[i].comm_start, plain[i].comm_start)
-            << name_of(id);
+            << h.name;
         EXPECT_DOUBLE_EQ(batched[i].comp_start, plain[i].comp_start)
-            << name_of(id);
+            << h.name;
       }
     }
   }
 }
 
-class BatchHeuristicsTest : public ::testing::TestWithParam<HeuristicId> {};
+class BatchHeuristicsTest
+    : public ::testing::TestWithParam<testing::TableRow> {};
 
 TEST_P(BatchHeuristicsTest, FeasibleForSmallBatches) {
-  const HeuristicId id = GetParam();
+  const Heuristic& h = GetParam().get();
   Rng rng(72);
   for (int iter = 0; iter < 15; ++iter) {
     const Instance inst = testing::random_instance(rng, 23);
     const Mem capacity = testing::random_capacity(rng, inst);
     for (std::size_t batch : {1u, 4u, 10u}) {
-      const Schedule s = schedule_in_batches(id, inst, capacity, batch);
+      const Schedule s = schedule_in_batches(h, inst, capacity, batch);
       ASSERT_TRUE(testing::feasible(inst, s, capacity))
-          << name_of(id) << " batch " << batch;
+          << h.name << " batch " << batch;
       EXPECT_GE(s.makespan(inst) + 1e-9, compute_bounds(inst).omim_lower);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Batch, BatchHeuristicsTest, ::testing::ValuesIn(all_heuristic_ids()),
-    [](const ::testing::TestParamInfo<HeuristicId>& param_info) {
-      return std::string(name_of(param_info.param));
+    Batch, BatchHeuristicsTest, ::testing::ValuesIn(testing::table_rows()),
+    [](const ::testing::TestParamInfo<testing::TableRow>& param_info) {
+      return std::string(param_info.param.get().name);
     });
 
 TEST(Batch, BatchOfOneIsSubmissionOrderForStatics) {
@@ -63,13 +68,11 @@ TEST(Batch, BatchOfOneIsSubmissionOrderForStatics) {
   Rng rng(73);
   const Instance inst = testing::random_instance(rng, 10);
   const Mem capacity = testing::random_capacity(rng, inst);
-  const Schedule os = run_heuristic(HeuristicId::kOS, inst, capacity);
-  for (HeuristicId id :
-       {HeuristicId::kOOSIM, HeuristicId::kIOCMS, HeuristicId::kDOCPS,
-        HeuristicId::kGG, HeuristicId::kBP}) {
-    const Schedule s = schedule_in_batches(id, inst, capacity, 1);
+  const Schedule os = testing::solve_named(inst, capacity, "OS").schedule;
+  for (const char* name : {"OOSIM", "IOCMS", "DOCPS", "GG", "BP"}) {
+    const Schedule s = schedule_in_batches(row(name), inst, capacity, 1);
     for (TaskId i = 0; i < inst.size(); ++i) {
-      EXPECT_DOUBLE_EQ(s[i].comm_start, os[i].comm_start) << name_of(id);
+      EXPECT_DOUBLE_EQ(s[i].comm_start, os[i].comm_start) << name;
     }
   }
 }
@@ -83,7 +86,7 @@ TEST(Batch, RestrictedVisibilityCannotBeatFullKnowledge) {
     const Instance inst = testing::random_instance(rng, 30);
     const Mem capacity = testing::random_capacity(rng, inst);
     const Schedule s =
-        schedule_in_batches(HeuristicId::kOOSIM, inst, capacity, 5);
+        schedule_in_batches(row("OOSIM"), inst, capacity, 5);
     EXPECT_LE(s.makespan(inst),
               compute_bounds(inst).sequential_upper + 1e-9);
   }
@@ -92,12 +95,13 @@ TEST(Batch, RestrictedVisibilityCannotBeatFullKnowledge) {
 
 TEST(BatchAuto, FeasibleAndNeverWorseThanEveryCandidatePerBatchGreedy) {
   Rng rng(75);
-  const std::vector<HeuristicId> candidates = all_heuristic_ids();
+  const std::vector<const Heuristic*> candidates = testing::all_rows();
+  SerialExecutor serial;
   for (int iter = 0; iter < 15; ++iter) {
     const Instance inst = testing::random_instance(rng, 25);
     const Mem capacity = testing::random_capacity(rng, inst);
     const BatchAutoResult res =
-        schedule_in_batches_auto(inst, capacity, 7, candidates);
+        schedule_in_batches_auto(inst, capacity, 7, candidates, serial);
     EXPECT_TRUE(testing::feasible(inst, res.schedule, capacity));
     EXPECT_EQ(res.winners.size(), (inst.size() + 6) / 7);
     // Greedy per-batch selection is not globally optimal, but it must stay
@@ -112,25 +116,27 @@ TEST(BatchAuto, SingleCandidateMatchesPlainBatching) {
   Rng rng(76);
   const Instance inst = testing::random_instance(rng, 20);
   const Mem capacity = testing::random_capacity(rng, inst);
-  const std::vector<HeuristicId> only{HeuristicId::kOOSIM};
+  const std::vector<const Heuristic*> only{&row("OOSIM")};
+  SerialExecutor serial;
   const BatchAutoResult res =
-      schedule_in_batches_auto(inst, capacity, 6, only);
-  const Schedule plain =
-      schedule_in_batches(HeuristicId::kOOSIM, inst, capacity, 6);
+      schedule_in_batches_auto(inst, capacity, 6, only, serial);
+  const Schedule plain = schedule_in_batches(row("OOSIM"), inst, capacity, 6);
   for (TaskId i = 0; i < inst.size(); ++i) {
     EXPECT_DOUBLE_EQ(res.schedule[i].comm_start, plain[i].comm_start);
     EXPECT_DOUBLE_EQ(res.schedule[i].comp_start, plain[i].comp_start);
   }
-  for (HeuristicId id : res.winners) EXPECT_EQ(id, HeuristicId::kOOSIM);
+  for (const Heuristic* h : res.winners) EXPECT_EQ(h, &row("OOSIM"));
 }
 
 TEST(BatchAuto, RejectsBadArguments) {
   const Instance inst = testing::table3_instance();
-  const std::vector<HeuristicId> candidates = all_heuristic_ids();
-  EXPECT_THROW((void)schedule_in_batches_auto(inst, 6.0, 0, candidates),
-               std::invalid_argument);
-  const std::vector<HeuristicId> none;
-  EXPECT_THROW((void)schedule_in_batches_auto(inst, 6.0, 2, none),
+  const std::vector<const Heuristic*> candidates = testing::all_rows();
+  SerialExecutor serial;
+  EXPECT_THROW(
+      (void)schedule_in_batches_auto(inst, 6.0, 0, candidates, serial),
+      std::invalid_argument);
+  const std::vector<const Heuristic*> none;
+  EXPECT_THROW((void)schedule_in_batches_auto(inst, 6.0, 2, none, serial),
                std::invalid_argument);
 }
 

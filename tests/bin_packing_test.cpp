@@ -69,14 +69,14 @@ TEST(BinPackingSchedule, FeasibleUnderCapacity) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 15);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const Schedule s = schedule_bin_packing(inst, capacity);
+    const Schedule s = testing::solve_named(inst, capacity, "BP").schedule;
     EXPECT_TRUE(testing::feasible(inst, s, capacity));
   }
 }
 
 TEST(BinPackingSchedule, EmptyInstance) {
   const Instance inst;
-  const Schedule s = schedule_bin_packing(inst, 5.0);
+  const Schedule s = testing::solve_named(inst, 5.0, "BP").schedule;
   EXPECT_EQ(s.size(), 0u);
 }
 

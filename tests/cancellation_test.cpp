@@ -47,7 +47,7 @@ TEST(Cancellation, PreCancelledWindowSolverFallsBackToSubmissionOrder) {
     // No window was optimized: the whole schedule is the OS fallback.
     EXPECT_DOUBLE_EQ(
         res.makespan,
-        run_heuristic(HeuristicId::kOS, inst, capacity).makespan(inst))
+        testing::solve_named(inst, capacity, "OS").makespan)
         << solver;
   }
 }
@@ -68,7 +68,7 @@ TEST(Cancellation, PreCancelledLocalSearchSkipsEvenTheSeedPass) {
   // cheapest complete schedule, the submission order.
   EXPECT_DOUBLE_EQ(
       res.makespan,
-      run_heuristic(HeuristicId::kOS, inst, capacity).makespan(inst));
+      testing::solve_named(inst, capacity, "OS").makespan);
 }
 
 TEST(Cancellation, ZeroTimeLimitStopsBothSolversImmediately) {

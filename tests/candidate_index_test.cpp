@@ -9,9 +9,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "core/validate.hpp"
-#include "heuristics/corrections.hpp"
 #include "heuristics/dynamic.hpp"
 #include "model/machine.hpp"
 #include "support/rng.hpp"
@@ -21,46 +20,38 @@
 namespace dts {
 namespace {
 
-constexpr DynamicCriterion kCriteria[] = {DynamicCriterion::kLargestComm,
-                                          DynamicCriterion::kSmallestComm,
-                                          DynamicCriterion::kMaxAcceleration};
+/// The dynamic rows of the heuristic table (LCMR, SCMR, MAMR).
+std::vector<const Heuristic*> dynamic_rows() {
+  std::vector<const Heuristic*> rows;
+  for (const Heuristic& h : heuristics()) {
+    if (h.family == HeuristicFamily::kDynamic) rows.push_back(&h);
+  }
+  return rows;
+}
 
 /// Capacity regimes: the largest footprint (every decision memory-bound),
 /// a moderate margin, and enough room that memory rarely binds.
 constexpr double kCapacityFactors[] = {1.0, 1.25, 4.0};
 
-std::vector<TaskId> corrected_base(const Instance& inst) {
-  std::vector<TaskId> base = johnson_order(inst);
-  if (inst.has_dependencies()) base = legalize_order(inst, base);
-  return base;
-}
-
-/// Runs the dynamic and the corrected executor for every criterion with
-/// the oracle on; returns the summed counters. Every schedule must be
+/// Runs every dynamic and corrected row of the heuristic table with the
+/// oracle on; returns the summed counters. Every schedule must be
 /// feasible and every decision must agree with the scan.
 detail::CandidateStats check_all_decisions(const Instance& inst, Mem capacity) {
   const CompiledInstance ci(inst);
   detail::CandidateStats total;
-  for (const DynamicCriterion c : kCriteria) {
-    for (const bool corrected : {false, true}) {
-      detail::CandidateScratch scratch;
-      scratch.set_oracle(true);
-      ExecutionState state(capacity, inst.num_channels());
-      Schedule sched(inst.size());
-      if (corrected) {
-        execute_corrected(ci, corrected_base(inst), c, state, sched, scratch);
-      } else {
-        execute_dynamic(ci, inst.submission_order(), c, state, sched,
-                        scratch);
-      }
-      EXPECT_EQ(scratch.stats().mismatches, 0u)
-          << (corrected ? "OO" : "") << to_acronym(c) << " at capacity "
-          << capacity;
-      EXPECT_TRUE(validate_schedule(inst, sched, capacity).ok());
-      total.decisions += scratch.stats().decisions;
-      total.fallbacks += scratch.stats().fallbacks;
-      total.mismatches += scratch.stats().mismatches;
-    }
+  for (const Heuristic& h : heuristics()) {
+    if (h.order != nullptr) continue;  // static rows make no decisions
+    detail::CandidateScratch scratch;
+    scratch.set_oracle(true);
+    ExecutionState state(capacity, inst.num_channels());
+    Schedule sched(inst.size());
+    h.step(inst, ci, inst.submission_order(), state, sched, scratch);
+    EXPECT_EQ(scratch.stats().mismatches, 0u)
+        << h.name << " at capacity " << capacity;
+    EXPECT_TRUE(validate_schedule(inst, sched, capacity).ok());
+    total.decisions += scratch.stats().decisions;
+    total.fallbacks += scratch.stats().fallbacks;
+    total.mismatches += scratch.stats().mismatches;
   }
   return total;
 }
@@ -151,17 +142,17 @@ TEST(CandidateIndex, BatchesOnCarriedStateMatchScan) {
     const CompiledInstance ci(inst);
     const std::vector<TaskId> sequence = inst.topological_order();
     const Mem capacity = 1.25 * inst.min_capacity();
-    for (const DynamicCriterion c : kCriteria) {
+    for (const Heuristic* h : dynamic_rows()) {
       detail::CandidateScratch scratch;
       scratch.set_oracle(true);
       ExecutionState state(capacity, inst.num_channels());
       Schedule sched(inst.size());
       for (std::size_t lo = 0; lo < sequence.size(); lo += 37) {
         const std::size_t hi = std::min(lo + 37, sequence.size());
-        execute_dynamic(ci, std::span(sequence).subspan(lo, hi - lo), c,
-                        state, sched, scratch);
+        execute_dynamic(ci, std::span(sequence).subspan(lo, hi - lo),
+                        h->criterion, state, sched, scratch);
       }
-      EXPECT_EQ(scratch.stats().mismatches, 0u) << to_acronym(c);
+      EXPECT_EQ(scratch.stats().mismatches, 0u) << h->name;
       EXPECT_GT(scratch.stats().decisions, 0u);
       EXPECT_TRUE(validate_schedule(inst, sched, capacity).ok());
     }
@@ -204,15 +195,15 @@ TEST(CandidateIndex, NonTransitiveTieChainFollowsScanOrder) {
   // between equal-idle tasks afterwards.
   const Instance inst = Instance::from_comm_comp(
       {{1.0 + 4e-9, 3.0}, {1.0 + 2e-9, 1.0}, {1.0, 2.0}, {1.0, 0.5}});
-  for (const DynamicCriterion c : kCriteria) {
+  for (const Heuristic* h : dynamic_rows()) {
     detail::CandidateScratch scratch;
     scratch.set_oracle(true);
     ExecutionState state(kInfiniteMem);
     Schedule sched(inst.size());
-    execute_dynamic(CompiledInstance(inst), inst.submission_order(), c, state,
-                    sched, scratch);
-    EXPECT_EQ(scratch.stats().mismatches, 0u) << to_acronym(c);
-    EXPECT_GT(scratch.stats().fallbacks, 0u) << to_acronym(c);
+    execute_dynamic(CompiledInstance(inst), inst.submission_order(),
+                    h->criterion, state, sched, scratch);
+    EXPECT_EQ(scratch.stats().mismatches, 0u) << h->name;
+    EXPECT_GT(scratch.stats().fallbacks, 0u) << h->name;
   }
 }
 

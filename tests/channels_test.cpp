@@ -263,15 +263,14 @@ TEST(DuplexWins, OverlappingDirectionsBeatTheSerializedLink) {
   const Instance single = merged_channels(duplex);
   ASSERT_EQ(single.num_channels(), 1u);
   const Mem capacity = 4.0;
-  for (HeuristicId id : {HeuristicId::kOS, HeuristicId::kSCMR,
-                         HeuristicId::kOOSIM, HeuristicId::kOOMAMR}) {
-    const Time serialized = heuristic_makespan(id, single, capacity);
-    const Time overlapped = heuristic_makespan(id, duplex, capacity);
-    EXPECT_TRUE(definitely_less(overlapped, serialized))
-        << name_of(id) << ": duplex " << overlapped << " vs single "
+  for (const char* name : {"OS", "SCMR", "OOSIM", "OOMAMR"}) {
+    const Time serialized =
+        testing::solve_named(single, capacity, name).makespan;
+    const SolveResult overlapped = testing::solve_named(duplex, capacity, name);
+    EXPECT_TRUE(definitely_less(overlapped.makespan, serialized))
+        << name << ": duplex " << overlapped.makespan << " vs single "
         << serialized;
-    EXPECT_TRUE(testing::feasible(duplex, run_heuristic(id, duplex, capacity),
-                                  capacity));
+    EXPECT_TRUE(testing::feasible(duplex, overlapped.schedule, capacity));
   }
 }
 
@@ -288,9 +287,9 @@ TEST(DuplexWins, GeneratedDuplexTracesBeatTheirMergedTwin) {
     const Instance single = merged_channels(duplex);
     const Mem capacity = 2.0 * duplex.min_capacity();
     const Time overlapped =
-        heuristic_makespan(HeuristicId::kSCMR, duplex, capacity);
+        testing::solve_named(duplex, capacity, "SCMR").makespan;
     const Time serialized =
-        heuristic_makespan(HeuristicId::kSCMR, single, capacity);
+        testing::solve_named(single, capacity, "SCMR").makespan;
     EXPECT_TRUE(definitely_less(overlapped, serialized)) << to_string(kernel);
   }
 }
@@ -340,13 +339,13 @@ TEST(ChannelBounds, LowerBoundsSandwichEveryHeuristicOnDuplexInstances) {
     const Mem capacity = testing::random_capacity(rng, inst);
     const CapacityAwareBounds lb = capacity_aware_bounds(inst, capacity);
     const Bounds b = compute_bounds(inst);
-    for (HeuristicId id : all_heuristic_ids()) {
-      const Schedule s = run_heuristic(id, inst, capacity);
-      ASSERT_TRUE(testing::feasible(inst, s, capacity)) << name_of(id);
+    for (const Heuristic& h : heuristics()) {
+      const Schedule s = testing::solve_named(inst, capacity, h.name).schedule;
+      ASSERT_TRUE(testing::feasible(inst, s, capacity)) << h.name;
       const Time ms = s.makespan(inst);
-      EXPECT_GE(ms + 1e-9, lb.combined) << name_of(id);
-      EXPECT_GE(ms + 1e-9, b.omim_lower) << name_of(id);
-      EXPECT_LE(ms, b.sequential_upper + 1e-9) << name_of(id);
+      EXPECT_GE(ms + 1e-9, lb.combined) << h.name;
+      EXPECT_GE(ms + 1e-9, b.omim_lower) << h.name;
+      EXPECT_LE(ms, b.sequential_upper + 1e-9) << h.name;
     }
   }
 }

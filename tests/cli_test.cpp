@@ -138,7 +138,7 @@ TEST(Cli, CompareListsEveryHeuristic) {
             0);
   const CliRun r = run({"compare", file.str(), "--capacity-factor=1.25"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
-  for (const auto& h : all_heuristics()) {
+  for (const Heuristic& h : heuristics()) {
     EXPECT_NE(r.out.find(std::string(h.name)), std::string::npos) << h.name;
   }
   EXPECT_NE(r.out.find("best:"), std::string::npos);

@@ -4,6 +4,7 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "heuristics/static_orders.hpp"
 #include "test_util.hpp"
 
@@ -44,10 +45,8 @@ TEST(Corrections, FeasibleAndBounded) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      const Schedule s = schedule_corrected(inst, c, capacity);
+    for (const char* name : {"OOLCMR", "OOSCMR", "OOMAMR"}) {
+      const Schedule s = testing::solve_named(inst, capacity, name).schedule;
       EXPECT_TRUE(testing::feasible(inst, s, capacity));
       const Bounds b = compute_bounds(inst);
       EXPECT_GE(s.makespan(inst) + 1e-9, b.omim_lower);
@@ -65,11 +64,10 @@ TEST(Corrections, EqualsOosimWhenNoCorrectionNeeded) {
     const InstanceStats stats = inst.stats();
     const Mem capacity = stats.total_mem;  // everything fits at once
     const Time oosim = makespan_of_order(inst, johnson_order(inst), capacity);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      EXPECT_DOUBLE_EQ(schedule_corrected(inst, c, capacity).makespan(inst),
-                       oosim);
+    for (const char* name : {"OOLCMR", "OOSCMR", "OOMAMR"}) {
+      EXPECT_DOUBLE_EQ(testing::solve_named(inst, capacity, name).makespan,
+                       oosim)
+          << name;
     }
   }
 }
@@ -84,16 +82,34 @@ TEST(Corrections, BaseOrderSizeMismatchThrows) {
 
 TEST(Corrections, ThrowsWhenTaskExceedsCapacity) {
   const Instance inst = Instance::from_comm_comp({{5, 1}, {1, 1}});
-  EXPECT_THROW(
-      (void)schedule_corrected(inst, DynamicCriterion::kLargestComm, 4.0),
-      std::invalid_argument);
+  const Heuristic& oolcmr = *find_heuristic("OOLCMR");
+  EXPECT_THROW((void)oolcmr.run(inst, CompiledInstance(inst), 4.0),
+               std::invalid_argument);
 }
 
+/// The heuristic table maps each corrected acronym to its criterion, and
+/// a corrected row runs the criterion over the Johnson base order.
 TEST(Corrections, Acronyms) {
-  EXPECT_EQ(to_corrected_acronym(DynamicCriterion::kLargestComm), "OOLCMR");
-  EXPECT_EQ(to_corrected_acronym(DynamicCriterion::kSmallestComm), "OOSCMR");
-  EXPECT_EQ(to_corrected_acronym(DynamicCriterion::kMaxAcceleration),
-            "OOMAMR");
+  const std::pair<const char*, DynamicCriterion> rows[] = {
+      {"OOLCMR", DynamicCriterion::kLargestComm},
+      {"OOSCMR", DynamicCriterion::kSmallestComm},
+      {"OOMAMR", DynamicCriterion::kMaxAcceleration},
+  };
+  const Instance inst = testing::table5_instance();
+  for (const auto& [name, criterion] : rows) {
+    const Heuristic* h = find_heuristic(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->family, HeuristicFamily::kCorrected) << name;
+    EXPECT_EQ(h->criterion, criterion) << name;
+    const Schedule via_row =
+        h->run(inst, CompiledInstance(inst), testing::kTable5Capacity);
+    const Schedule via_order = schedule_corrected_with_order(
+        inst, johnson_order(inst), criterion, testing::kTable5Capacity);
+    for (TaskId i = 0; i < inst.size(); ++i) {
+      EXPECT_EQ(via_row[i].comm_start, via_order[i].comm_start) << name;
+      EXPECT_EQ(via_row[i].comp_start, via_order[i].comp_start) << name;
+    }
+  }
 }
 
 TEST(Corrections, HeadRegainsPriorityAfterIdle) {

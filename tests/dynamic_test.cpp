@@ -4,10 +4,16 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "test_util.hpp"
 
 namespace dts {
 namespace {
+
+/// The dynamic row `name` on a fresh engine over all tasks.
+Schedule run_row(const char* name, const Instance& inst, Mem capacity) {
+  return find_heuristic(name)->run(inst, CompiledInstance(inst), capacity);
+}
 
 /// Issues task `id` of `ci` on `state` (one-channel instances).
 void issue(const CompiledInstance& ci, ExecutionState& state, TaskId id) {
@@ -77,10 +83,8 @@ TEST(ScheduleDynamic, FeasibleAndWithinBounds) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      const Schedule s = schedule_dynamic(inst, c, capacity);
+    for (const char* name : {"LCMR", "SCMR", "MAMR"}) {
+      const Schedule s = testing::solve_named(inst, capacity, name).schedule;
       EXPECT_TRUE(testing::feasible(inst, s, capacity));
       const Bounds b = compute_bounds(inst);
       EXPECT_GE(s.makespan(inst) + 1e-9, b.omim_lower);
@@ -92,16 +96,14 @@ TEST(ScheduleDynamic, FeasibleAndWithinBounds) {
 TEST(ScheduleDynamic, ProducesPermutationSchedules) {
   Rng rng(16);
   const Instance inst = testing::random_instance(rng, 10);
-  const Schedule s = schedule_dynamic(inst, DynamicCriterion::kLargestComm,
-                                      inst.min_capacity() * 1.5);
+  const Schedule s =
+      testing::solve_named(inst, inst.min_capacity() * 1.5, "LCMR").schedule;
   EXPECT_TRUE(s.is_permutation_schedule());
 }
 
 TEST(ScheduleDynamic, ThrowsWhenTaskExceedsCapacity) {
   const Instance inst = Instance::from_comm_comp({{5, 1}});
-  EXPECT_THROW(
-      (void)schedule_dynamic(inst, DynamicCriterion::kLargestComm, 4.0),
-      std::invalid_argument);
+  EXPECT_THROW((void)run_row("LCMR", inst, 4.0), std::invalid_argument);
 }
 
 TEST(ScheduleDynamic, InfiniteCapacityOptimalWhenAllComputeIntensive) {
@@ -110,8 +112,7 @@ TEST(ScheduleDynamic, InfiniteCapacityOptimalWhenAllComputeIntensive) {
   // makespan must be within the bounds and >= OMIM.
   const Instance inst =
       Instance::from_comm_comp({{1, 4}, {2, 5}, {3, 6}, {4, 7}});
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kSmallestComm, kInfiniteMem);
+  const Schedule s = run_row("SCMR", inst, kInfiniteMem);
   EXPECT_DOUBLE_EQ(s.makespan(inst), omim(inst))
       << "SCMR equals Johnson when all tasks are compute intensive and "
          "memory is unbounded";
@@ -119,15 +120,20 @@ TEST(ScheduleDynamic, InfiniteCapacityOptimalWhenAllComputeIntensive) {
 
 TEST(ScheduleDynamic, EmptyInstance) {
   const Instance inst;
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kLargestComm, 1.0);
+  const Schedule s = run_row("LCMR", inst, 1.0);
   EXPECT_EQ(s.size(), 0u);
 }
 
+/// The heuristic table maps each dynamic acronym to its criterion.
 TEST(Acronyms, DynamicNames) {
-  EXPECT_EQ(to_acronym(DynamicCriterion::kLargestComm), "LCMR");
-  EXPECT_EQ(to_acronym(DynamicCriterion::kSmallestComm), "SCMR");
-  EXPECT_EQ(to_acronym(DynamicCriterion::kMaxAcceleration), "MAMR");
+  EXPECT_EQ(find_heuristic("LCMR")->criterion, DynamicCriterion::kLargestComm);
+  EXPECT_EQ(find_heuristic("SCMR")->criterion,
+            DynamicCriterion::kSmallestComm);
+  EXPECT_EQ(find_heuristic("MAMR")->criterion,
+            DynamicCriterion::kMaxAcceleration);
+  for (const char* name : {"LCMR", "SCMR", "MAMR"}) {
+    EXPECT_EQ(find_heuristic(name)->family, HeuristicFamily::kDynamic);
+  }
 }
 
 }  // namespace

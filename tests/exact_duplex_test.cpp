@@ -89,9 +89,9 @@ TEST(ExactDuplex, BranchBoundNeverWorseThanExhaustiveOrHeuristics) {
     EXPECT_TRUE(approx_leq(lb.combined, pair.makespan));
     const ExhaustiveResult common = best_common_order(inst, capacity);
     EXPECT_LE(pair.makespan, common.makespan + 1e-9);
-    for (const HeuristicInfo& h : all_heuristics()) {
+    for (const Heuristic& h : heuristics()) {
       EXPECT_LE(pair.makespan,
-                heuristic_makespan(h.id, inst, capacity) + 1e-9)
+                testing::solve_named(inst, capacity, h.name).makespan + 1e-9)
           << h.name;
     }
   }
@@ -204,8 +204,9 @@ TEST(ExactDuplex, ExhaustiveEqualsWindowCoveringNineDuplexTasks) {
   // exact, so compare through best_common_order options instead: the
   // exhaustive result must validate and dominate every heuristic.
   EXPECT_TRUE(testing::feasible(inst, exact.schedule, capacity));
-  for (const HeuristicInfo& h : all_heuristics()) {
-    EXPECT_LE(exact.makespan, heuristic_makespan(h.id, inst, capacity) + 1e-9)
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_LE(exact.makespan,
+              testing::solve_named(inst, capacity, h.name).makespan + 1e-9)
         << h.name;
   }
 }
@@ -238,7 +239,7 @@ TEST(DuplexBalance, SingleChannelEqualsJohnsonOrder) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
     EXPECT_EQ(schedule_duplex_balance(inst, capacity).makespan(inst),
-              heuristic_makespan(HeuristicId::kOOSIM, inst, capacity));
+              testing::solve_named(inst, capacity, "OOSIM").makespan);
   }
 }
 

@@ -106,7 +106,7 @@ TEST(GilmoreGomory, ScheduleFeasibleUnderCapacity) {
   for (int iter = 0; iter < 50; ++iter) {
     const Instance inst = testing::random_instance(rng, 10);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const Schedule s = schedule_gilmore_gomory(inst, capacity);
+    const Schedule s = testing::solve_named(inst, capacity, "GG").schedule;
     EXPECT_TRUE(testing::feasible(inst, s, capacity));
   }
 }

@@ -67,9 +67,9 @@ TEST(LocalSearch, SeededVariantStartsFromBestHeuristic) {
   const Instance inst = testing::random_instance(rng, 12);
   const Mem capacity = testing::random_capacity(rng, inst);
   Time best_heuristic = kInfiniteTime;
-  for (HeuristicId id : all_heuristic_ids()) {
-    best_heuristic =
-        std::min(best_heuristic, heuristic_makespan(id, inst, capacity));
+  for (const Heuristic& h : heuristics()) {
+    best_heuristic = std::min(
+        best_heuristic, testing::solve_named(inst, capacity, h.name).makespan);
   }
   LocalSearchOptions options;
   options.max_iterations = 200;

@@ -76,9 +76,10 @@ TEST(CapacityAwareBounds, TightensRatiosOnBigTaskWorkloads) {
   EXPECT_GT(b.big_task_serial, 0.0);
   EXPECT_TRUE(b.capacity_binds());
   // Every heuristic respects the bound.
-  for (HeuristicId id : all_heuristic_ids()) {
-    EXPECT_GE(heuristic_makespan(id, inst, 12.0) + 1e-9, b.combined)
-        << name_of(id);
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_GE(testing::solve_named(inst, 12.0, h.name).makespan + 1e-9,
+              b.combined)
+        << h.name;
   }
 }
 

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <tuple>
 
-#include "core/auto_scheduler.hpp"
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
@@ -75,12 +75,18 @@ const char* shape_name(Shape s) {
   return "?";
 }
 
-using GridParam = std::tuple<HeuristicId, Shape>;
+/// The makespan solve() gives the heuristic named `name`.
+Time heuristic_ms(std::string_view name, const Instance& inst, Mem capacity) {
+  return testing::solve_named(inst, capacity, name).makespan;
+}
+
+using GridParam = std::tuple<testing::TableRow, Shape>;
 
 class HeuristicGridTest : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(HeuristicGridTest, FeasibleAndSandwichedAcrossCapacities) {
-  const auto [id, shape] = GetParam();
+  const auto [row, shape] = GetParam();
+  const Heuristic* h = &row.get();
   Rng rng(static_cast<std::uint64_t>(shape) * 1000 + 17);
   for (int iter = 0; iter < 12; ++iter) {
     const Instance inst = make_shaped(rng, shape, 16);
@@ -89,9 +95,9 @@ TEST_P(HeuristicGridTest, FeasibleAndSandwichedAcrossCapacities) {
     if (mc <= 0.0) continue;  // all-zero-memory degenerate draw
     for (double factor : {1.0, 1.125, 1.5, 2.0, 16.0}) {
       const Mem capacity = mc * factor;
-      const Schedule s = run_heuristic(id, inst, capacity);
+      const Schedule s = testing::solve_named(inst, capacity, h->name).schedule;
       ASSERT_TRUE(testing::feasible(inst, s, capacity))
-          << name_of(id) << "/" << shape_name(shape) << " x" << factor;
+          << h->name << "/" << shape_name(shape) << " x" << factor;
       const Time ms = s.makespan(inst);
       EXPECT_GE(ms + 1e-9, b.omim_lower);
       EXPECT_LE(ms, b.sequential_upper + 1e-9);
@@ -106,32 +112,28 @@ TEST_P(HeuristicGridTest, UnboundedCapacityIsNoWorseThanTightest) {
   // instant only shrinks — see the exchange argument in DESIGN.md). BP's
   // order and the dynamic/corrected selections depend on the capacity
   // itself, where scheduling anomalies are possible; skip those.
-  const auto [id, shape] = GetParam();
-  const HeuristicCategory cat = info(id).category;
-  if (id == HeuristicId::kBP || cat == HeuristicCategory::kDynamic ||
-      cat == HeuristicCategory::kCorrected) {
-    return;
-  }
+  const auto [row, shape] = GetParam();
+  const Heuristic* h = &row.get();
+  if (h->name == "BP" || h->order == nullptr) return;
   Rng rng(static_cast<std::uint64_t>(shape) * 977 + 3);
   for (int iter = 0; iter < 10; ++iter) {
     const Instance inst = make_shaped(rng, shape, 12);
     const Mem mc = inst.min_capacity();
     if (mc <= 0.0) continue;
-    const Time tight = heuristic_makespan(id, inst, mc);
-    const Time loose = heuristic_makespan(id, inst, mc * 1e6);
-    EXPECT_LE(loose, tight + 1e-9)
-        << name_of(id) << "/" << shape_name(shape);
+    const Time tight = heuristic_ms(h->name, inst, mc);
+    const Time loose = heuristic_ms(h->name, inst, mc * 1e6);
+    EXPECT_LE(loose, tight + 1e-9) << h->name << "/" << shape_name(shape);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, HeuristicGridTest,
-    ::testing::Combine(::testing::ValuesIn(all_heuristic_ids()),
+    ::testing::Combine(::testing::ValuesIn(testing::table_rows()),
                        ::testing::Values(Shape::kUniform, Shape::kCommHeavy,
                                          Shape::kCompHeavy, Shape::kBimodal,
                                          Shape::kDegenerate)),
     [](const ::testing::TestParamInfo<GridParam>& param_info) {
-      return std::string(name_of(std::get<0>(param_info.param))) + "_" +
+      return std::string(std::get<0>(param_info.param).get().name) + "_" +
              shape_name(std::get<1>(param_info.param));
     });
 
@@ -139,8 +141,7 @@ TEST(Property, OosimEqualsOmimWithUnboundedMemory) {
   Rng rng(200);
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 15);
-    EXPECT_NEAR(heuristic_makespan(HeuristicId::kOOSIM, inst, kInfiniteMem),
-                omim(inst), 1e-9);
+    EXPECT_NEAR(heuristic_ms("OOSIM", inst, kInfiniteMem), omim(inst), 1e-9);
   }
 }
 
@@ -166,11 +167,10 @@ TEST(Property, GiantCapacityEqualsInfiniteCapacity) {
   for (int iter = 0; iter < 50; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem total = inst.stats().total_mem;
-    for (HeuristicId id :
-         {HeuristicId::kOOSIM, HeuristicId::kLCMR, HeuristicId::kOOMAMR}) {
-      EXPECT_NEAR(heuristic_makespan(id, inst, total),
-                  heuristic_makespan(id, inst, kInfiniteMem), 1e-9)
-          << name_of(id);
+    for (const char* name : {"OOSIM", "LCMR", "OOMAMR"}) {
+      EXPECT_NEAR(heuristic_ms(name, inst, total),
+                  heuristic_ms(name, inst, kInfiniteMem), 1e-9)
+          << name;
     }
   }
 }
@@ -180,10 +180,9 @@ TEST(Property, AutoSchedulerDominatesEveryRegistryHeuristic) {
   for (int iter = 0; iter < 20; ++iter) {
     const Instance inst = testing::random_instance(rng, 14);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const AutoScheduleResult res = auto_schedule(inst, capacity);
-    for (HeuristicId id : all_heuristic_ids()) {
-      EXPECT_LE(res.makespan,
-                heuristic_makespan(id, inst, capacity) + 1e-9);
+    const Time best = heuristic_ms("auto", inst, capacity);
+    for (const Heuristic& h : heuristics()) {
+      EXPECT_LE(best, heuristic_ms(h.name, inst, capacity) + 1e-9) << h.name;
     }
   }
 }
@@ -193,24 +192,24 @@ TEST(Property, AllZeroCommTasksScheduleBackToBack) {
   // the compute sum for every heuristic.
   const Instance inst = Instance::from_comm_comp(
       {{0, 3}, {0, 1}, {0, 4}, {0, 1}, {0, 5}});
-  for (HeuristicId id : all_heuristic_ids()) {
-    EXPECT_DOUBLE_EQ(heuristic_makespan(id, inst, 1.0), 14.0) << name_of(id);
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_DOUBLE_EQ(heuristic_ms(h.name, inst, 1.0), 14.0) << h.name;
   }
 }
 
 TEST(Property, AllZeroCompTasksOccupyOnlyTheLink) {
   const Instance inst = Instance::from_comm_comp(
       {{3, 0}, {1, 0}, {4, 0}, {1, 0}, {5, 0}});
-  for (HeuristicId id : all_heuristic_ids()) {
-    EXPECT_DOUBLE_EQ(heuristic_makespan(id, inst, inst.min_capacity()), 14.0)
-        << name_of(id);
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_DOUBLE_EQ(heuristic_ms(h.name, inst, inst.min_capacity()), 14.0)
+        << h.name;
   }
 }
 
 TEST(Property, SingleTaskMakespanIsItsTotalTime) {
   const Instance inst = Instance::from_comm_comp({{2.5, 4.25}});
-  for (HeuristicId id : all_heuristic_ids()) {
-    EXPECT_DOUBLE_EQ(heuristic_makespan(id, inst, 2.5), 6.75) << name_of(id);
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_DOUBLE_EQ(heuristic_ms(h.name, inst, 2.5), 6.75) << h.name;
   }
 }
 

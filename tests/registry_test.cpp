@@ -5,15 +5,16 @@
 #include <set>
 
 #include "core/bounds.hpp"
+#include "core/compiled.hpp"
 #include "core/validate.hpp"
+#include "support/parallel_for.hpp"
 #include "test_util.hpp"
 
 namespace dts {
 namespace {
 
 TEST(Registry, FourteenHeuristics) {
-  EXPECT_EQ(all_heuristics().size(), 14u);
-  EXPECT_EQ(all_heuristic_ids().size(), 14u);
+  EXPECT_EQ(heuristics().size(), 14u);
 }
 
 TEST(Registry, NamesMatchThePaper) {
@@ -21,39 +22,42 @@ TEST(Registry, NamesMatchThePaper) {
       "OS",   "OOSIM",  "IOCMS",  "DOCPS",  "IOCCS",  "DOCCS",  "GG",
       "BP",   "LCMR",   "SCMR",   "MAMR",   "OOLCMR", "OOSCMR", "OOMAMR"};
   std::set<std::string_view> actual;
-  for (const auto& h : all_heuristics()) actual.insert(h.name);
+  for (const Heuristic& h : heuristics()) actual.insert(h.name);
   EXPECT_EQ(actual, expected);
 }
 
+/// find_heuristic is the one name -> row lookup: every row is found under
+/// its own acronym, and nothing else is found.
 TEST(Registry, NameRoundTrip) {
-  for (const auto& h : all_heuristics()) {
-    const auto id = heuristic_from_name(h.name);
-    ASSERT_TRUE(id.has_value()) << h.name;
-    EXPECT_EQ(*id, h.id);
-    EXPECT_EQ(name_of(h.id), h.name);
+  for (const Heuristic& h : heuristics()) {
+    EXPECT_EQ(find_heuristic(h.name), &h) << h.name;
   }
-  EXPECT_FALSE(heuristic_from_name("NOPE").has_value());
-  EXPECT_FALSE(heuristic_from_name("oosim").has_value()) << "case sensitive";
+  EXPECT_EQ(find_heuristic("NOPE"), nullptr);
+  EXPECT_EQ(find_heuristic("oosim"), nullptr) << "case sensitive";
+  EXPECT_EQ(find_heuristic(""), nullptr);
 }
 
+/// Each row says what it is exactly once: OS and the static rows carry an
+/// order function, the dynamic and corrected rows a criterion.
 TEST(Registry, CategoriesPartitionTheRegistry) {
-  std::size_t total = 0;
-  for (HeuristicCategory cat :
-       {HeuristicCategory::kBaseline, HeuristicCategory::kStatic,
-        HeuristicCategory::kDynamic, HeuristicCategory::kCorrected}) {
-    total += heuristics_in(cat).size();
+  std::size_t counts[4] = {0, 0, 0, 0};
+  for (const Heuristic& h : heuristics()) {
+    ++counts[static_cast<int>(h.family)];
+    const bool ordered = h.family == HeuristicFamily::kBaseline ||
+                         h.family == HeuristicFamily::kStatic;
+    EXPECT_EQ(h.order != nullptr, ordered) << h.name;
   }
-  EXPECT_EQ(total, all_heuristics().size());
-  EXPECT_EQ(heuristics_in(HeuristicCategory::kBaseline).size(), 1u);
-  EXPECT_EQ(heuristics_in(HeuristicCategory::kStatic).size(), 7u);
-  EXPECT_EQ(heuristics_in(HeuristicCategory::kDynamic).size(), 3u);
-  EXPECT_EQ(heuristics_in(HeuristicCategory::kCorrected).size(), 3u);
+  EXPECT_EQ(counts[static_cast<int>(HeuristicFamily::kBaseline)], 1u);
+  EXPECT_EQ(counts[static_cast<int>(HeuristicFamily::kStatic)], 7u);
+  EXPECT_EQ(counts[static_cast<int>(HeuristicFamily::kDynamic)], 3u);
+  EXPECT_EQ(counts[static_cast<int>(HeuristicFamily::kCorrected)], 3u);
+  EXPECT_EQ(name_of(HeuristicFamily::kCorrected), "Static+Dynamic");
 }
 
-class AllHeuristicsTest : public ::testing::TestWithParam<HeuristicId> {};
+class AllHeuristicsTest : public ::testing::TestWithParam<testing::TableRow> {};
 
 TEST_P(AllHeuristicsTest, FeasibleWithinBoundsAcrossCapacities) {
-  const HeuristicId id = GetParam();
+  const Heuristic& h = GetParam().get();
   Rng rng(0xC0FFEE);
   for (int iter = 0; iter < 40; ++iter) {
     const Instance inst = testing::random_instance(rng, 14);
@@ -61,12 +65,12 @@ TEST_P(AllHeuristicsTest, FeasibleWithinBoundsAcrossCapacities) {
     const Mem mc = inst.min_capacity();
     for (double factor : {1.0, 1.25, 1.5, 2.0}) {
       const Mem capacity = mc * factor;
-      const Schedule s = run_heuristic(id, inst, capacity);
+      const Schedule s = testing::solve_named(inst, capacity, h.name).schedule;
       ASSERT_TRUE(testing::feasible(inst, s, capacity))
-          << name_of(id) << " capacity factor " << factor;
+          << h.name << " capacity factor " << factor;
       const Time ms = s.makespan(inst);
-      EXPECT_GE(ms + 1e-9, b.omim_lower) << name_of(id);
-      EXPECT_LE(ms, b.sequential_upper + 1e-9) << name_of(id);
+      EXPECT_GE(ms + 1e-9, b.omim_lower) << h.name;
+      EXPECT_LE(ms, b.sequential_upper + 1e-9) << h.name;
     }
   }
 }
@@ -76,20 +80,21 @@ TEST_P(AllHeuristicsTest, PermutationSchedulesAlways) {
   // (paper §4: "In all of our strategies (except linear programming based
   // strategy), communication and computations take place in the same
   // order").
-  const HeuristicId id = GetParam();
+  const Heuristic& h = GetParam().get();
   Rng rng(0xBEEF);
   const Instance inst = testing::random_instance(rng, 12);
-  const Schedule s = run_heuristic(id, inst, inst.min_capacity() * 1.3);
-  EXPECT_TRUE(s.is_permutation_schedule()) << name_of(id);
+  const Schedule s =
+      testing::solve_named(inst, inst.min_capacity() * 1.3, h.name).schedule;
+  EXPECT_TRUE(s.is_permutation_schedule()) << h.name;
 }
 
 TEST_P(AllHeuristicsTest, DeterministicAcrossRuns) {
-  const HeuristicId id = GetParam();
+  const Heuristic& h = GetParam().get();
   Rng rng(0xD00D);
   const Instance inst = testing::random_instance(rng, 10);
   const Mem capacity = inst.min_capacity() * 1.4;
-  const Schedule a = run_heuristic(id, inst, capacity);
-  const Schedule b = run_heuristic(id, inst, capacity);
+  const Schedule a = h.run(inst, CompiledInstance(inst), capacity);
+  const Schedule b = h.run(inst, CompiledInstance(inst), capacity);
   for (TaskId i = 0; i < inst.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].comm_start, b[i].comm_start);
     EXPECT_DOUBLE_EQ(a[i].comp_start, b[i].comp_start);
@@ -97,16 +102,25 @@ TEST_P(AllHeuristicsTest, DeterministicAcrossRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Registry, AllHeuristicsTest, ::testing::ValuesIn(all_heuristic_ids()),
-    [](const ::testing::TestParamInfo<HeuristicId>& param_info) {
-      return std::string(name_of(param_info.param));
+    Registry, AllHeuristicsTest, ::testing::ValuesIn(testing::table_rows()),
+    [](const ::testing::TestParamInfo<testing::TableRow>& param_info) {
+      return std::string(param_info.param.get().name);
     });
 
+/// best_of reports each candidate's makespan as its schedule's makespan,
+/// and OOSIM on Table 3 is the paper's 15 (Fig. 4).
 TEST(Registry, HeuristicMakespanMatchesSchedule) {
   const Instance inst = testing::table3_instance();
-  EXPECT_DOUBLE_EQ(
-      heuristic_makespan(HeuristicId::kOOSIM, inst, testing::kTable3Capacity),
-      15.0);
+  SerialExecutor serial;
+  const BestOf best = best_of(testing::all_rows(), inst,
+                              testing::kTable3Capacity, serial);
+  ASSERT_EQ(best.runs.size(), heuristics().size());
+  for (const CandidateRun& run : best.runs) {
+    EXPECT_EQ(run.makespan, run.schedule.makespan(inst))
+        << run.heuristic->name;
+  }
+  EXPECT_DOUBLE_EQ(best.runs[1].makespan, 15.0);
+  EXPECT_EQ(best.runs[1].heuristic->name, "OOSIM");
 }
 
 }  // namespace

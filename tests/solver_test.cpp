@@ -5,14 +5,14 @@
 #include <algorithm>
 #include <string>
 
-#include "core/auto_scheduler.hpp"
 #include "core/batch.hpp"
+#include "core/compiled.hpp"
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
 #include "exact/branch_bound.hpp"
 #include "exact/exhaustive.hpp"
 #include "exact/window_solver.hpp"
-#include "heuristics/local_search.hpp"
+#include "support/parallel_for.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
 
@@ -48,7 +48,7 @@ TEST(SolverRegistry, EveryListedNameResolves) {
 }
 
 TEST(SolverRegistry, EveryHeuristicAcronymIsRegistered) {
-  for (const HeuristicInfo& h : all_heuristics()) {
+  for (const Heuristic& h : heuristics()) {
     EXPECT_TRUE(SolverRegistry::global().contains(h.name)) << h.name;
   }
 }
@@ -117,8 +117,9 @@ class SubmissionOrderTwiceSolver final : public Solver {
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions&) const override {
     SolveResult result;
-    result.schedule = run_heuristic(HeuristicId::kOS, request.instance,
-                                    request.capacity);
+    result.schedule = find_heuristic("OS")->run(
+        request.instance, CompiledInstance(request.instance),
+        request.capacity);
     result.makespan = request.instance.empty()
                           ? 0.0
                           : result.schedule.makespan(request.instance);
@@ -138,47 +139,36 @@ TEST(SolverRegistry, SelfRegisteredSolverIsCallable) {
   const SolveResult res = solve(request_for(inst, testing::kTable3Capacity),
                                 "test-submission");
   EXPECT_EQ(res.winner, "test-submission");
-  EXPECT_DOUBLE_EQ(res.makespan, heuristic_makespan(HeuristicId::kOS, inst,
-                                                    testing::kTable3Capacity));
+  EXPECT_DOUBLE_EQ(
+      res.makespan,
+      solve(request_for(inst, testing::kTable3Capacity), "OS").makespan);
 }
 
 // ------------------------------------------------- parity with legacy API
 
-/// The paper's worked examples (Tables 3-5 / Figs. 4-6): solve() must
-/// reproduce run_heuristic bit-for-bit for every acronym.
-TEST(SolveParity, PaperExamplesMatchRunHeuristic) {
-  const std::vector<std::pair<Instance, Mem>> cases{
-      {testing::table3_instance(), testing::kTable3Capacity},
-      {testing::table4_instance(), testing::kTable4Capacity},
-      {testing::table5_instance(), testing::kTable5Capacity},
-  };
-  for (const auto& [inst, capacity] : cases) {
-    for (const HeuristicInfo& h : all_heuristics()) {
-      const SolveResult res =
-          solve(request_for(inst, capacity), std::string(h.name));
-      const Schedule legacy = run_heuristic(h.id, inst, capacity);
-      EXPECT_DOUBLE_EQ(res.makespan, legacy.makespan(inst)) << h.name;
-      expect_same_schedule(res.schedule, legacy);
-      EXPECT_EQ(res.winner, h.name);
-    }
-  }
-}
+// The paper examples, auto, auto:FAMILY and local-search are pinned to
+// the recorded golden in tests/heuristic_parity_test.cpp. The tests below
+// check that solve() is the table's own entry points, bit for bit.
 
+/// solve() of an acronym is Heuristic::run of its row.
 TEST(SolveParity, RandomInstancesMatchRunHeuristic) {
   Rng rng(0x5EED);
   for (int iter = 0; iter < 10; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (const HeuristicInfo& h : all_heuristics()) {
-      const SolveResult res =
-          solve(request_for(inst, capacity), std::string(h.name));
-      EXPECT_DOUBLE_EQ(res.makespan,
-                       heuristic_makespan(h.id, inst, capacity))
-          << h.name;
+    const CompiledInstance ci(inst);
+    for (const Heuristic& h : heuristics()) {
+      const SolveResult res = solve(request_for(inst, capacity), h.name);
+      const Schedule row = h.run(inst, ci, capacity);
+      EXPECT_DOUBLE_EQ(res.makespan, row.makespan(inst)) << h.name;
+      expect_same_schedule(res.schedule, row);
+      EXPECT_EQ(res.winner, h.name);
     }
   }
 }
 
+/// auto is best_of over every row and auto-batch is
+/// schedule_in_batches_auto over every row.
 TEST(SolveParity, GeneratedTracesMatchLegacyEntryPoints) {
   for (ChemistryKernel kernel :
        {ChemistryKernel::kHartreeFock, ChemistryKernel::kCoupledClusterSD}) {
@@ -189,64 +179,18 @@ TEST(SolveParity, GeneratedTracesMatchLegacyEntryPoints) {
     const Instance inst = generate_trace(kernel, config);
     const Mem capacity = 1.25 * inst.min_capacity();
     const SolveRequest request = request_for(inst, capacity);
+    SerialExecutor serial;
 
-    for (const HeuristicInfo& h : all_heuristics()) {
-      EXPECT_DOUBLE_EQ(solve(request, std::string(h.name)).makespan,
-                       heuristic_makespan(h.id, inst, capacity))
-          << h.name;
-    }
-    const AutoScheduleResult legacy_auto = auto_schedule(inst, capacity);
+    const BestOf best = best_of(testing::all_rows(), inst, capacity, serial);
     const SolveResult via_auto = solve(request, "auto");
-    EXPECT_EQ(via_auto.winner, name_of(legacy_auto.best));
-    EXPECT_DOUBLE_EQ(via_auto.makespan, legacy_auto.makespan);
+    EXPECT_EQ(via_auto.winner, best.runs[best.best].heuristic->name);
+    EXPECT_DOUBLE_EQ(via_auto.makespan, best.runs[best.best].makespan);
+    expect_same_schedule(via_auto.schedule, best.runs[best.best].schedule);
 
-    const BatchAutoResult legacy_batch = schedule_in_batches_auto(
-        inst, capacity, 16, all_heuristic_ids());
+    const BatchAutoResult batch = schedule_in_batches_auto(
+        inst, capacity, 16, testing::all_rows(), serial);
     const SolveResult via_batch = solve(request, "auto-batch:16");
-    expect_same_schedule(via_batch.schedule, legacy_batch.schedule);
-  }
-}
-
-TEST(SolveParity, AutoMatchesAutoSchedule) {
-  Rng rng(0xA070);
-  for (int iter = 0; iter < 8; ++iter) {
-    const Instance inst = testing::random_instance(rng, 14);
-    const Mem capacity = testing::random_capacity(rng, inst);
-    const AutoScheduleResult legacy = auto_schedule(inst, capacity);
-    for (const bool parallel : {false, true}) {
-      SolveOptions options;
-      options.parallel_candidates = parallel;
-      const SolveResult res =
-          solve(request_for(inst, capacity), "auto", options);
-      EXPECT_EQ(res.winner, name_of(legacy.best)) << "parallel=" << parallel;
-      EXPECT_DOUBLE_EQ(res.makespan, legacy.makespan);
-      expect_same_schedule(res.schedule, legacy.schedule);
-      ASSERT_EQ(res.outcomes.size(), legacy.outcomes.size());
-      for (std::size_t k = 0; k < res.outcomes.size(); ++k) {
-        EXPECT_EQ(res.outcomes[k].name, name_of(legacy.outcomes[k].id));
-        EXPECT_DOUBLE_EQ(res.outcomes[k].makespan,
-                         legacy.outcomes[k].makespan);
-      }
-      EXPECT_DOUBLE_EQ(res.bounds.omim, legacy.omim);
-    }
-  }
-}
-
-TEST(SolveParity, AutoFamilySubsetsMatchAutoSchedule) {
-  const Instance inst = testing::table4_instance();
-  const std::vector<std::pair<std::string, HeuristicCategory>> families{
-      {"auto:static", HeuristicCategory::kStatic},
-      {"auto:dynamic", HeuristicCategory::kDynamic},
-      {"auto:corrected", HeuristicCategory::kCorrected},
-  };
-  for (const auto& [name, category] : families) {
-    const std::vector<HeuristicId> candidates = heuristics_in(category);
-    const AutoScheduleResult legacy =
-        auto_schedule(inst, testing::kTable4Capacity, candidates);
-    const SolveResult res =
-        solve(request_for(inst, testing::kTable4Capacity), name);
-    EXPECT_EQ(res.winner, name_of(legacy.best)) << name;
-    EXPECT_DOUBLE_EQ(res.makespan, legacy.makespan) << name;
+    expect_same_schedule(via_batch.schedule, batch.schedule);
   }
 }
 
@@ -255,11 +199,11 @@ TEST(SolveParity, BatchWindowMatchesScheduleInBatches) {
   for (int iter = 0; iter < 5; ++iter) {
     const Instance inst = testing::random_instance(rng, 15);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (const HeuristicInfo& h : all_heuristics()) {
+    for (const Heuristic& h : heuristics()) {
       SolveRequest request = request_for(inst, capacity);
       request.batch_size = 4;
-      const SolveResult res = solve(request, std::string(h.name));
-      const Schedule legacy = schedule_in_batches(h.id, inst, capacity, 4);
+      const SolveResult res = solve(request, h.name);
+      const Schedule legacy = schedule_in_batches(h, inst, capacity, 4);
       EXPECT_DOUBLE_EQ(res.makespan, legacy.makespan(inst)) << h.name;
       expect_same_schedule(res.schedule, legacy);
     }
@@ -270,8 +214,9 @@ TEST(SolveParity, AutoBatchMatchesScheduleInBatchesAuto) {
   Rng rng(0xAB17);
   const Instance inst = testing::random_instance(rng, 18);
   const Mem capacity = inst.min_capacity() * 1.3;
-  const BatchAutoResult legacy =
-      schedule_in_batches_auto(inst, capacity, 7, all_heuristic_ids());
+  SerialExecutor serial;
+  const BatchAutoResult legacy = schedule_in_batches_auto(
+      inst, capacity, 7, testing::all_rows(), serial);
   // Batch size via the name and via the request must agree.
   const SolveResult via_name =
       solve(request_for(inst, capacity), "auto-batch:7");
@@ -282,36 +227,17 @@ TEST(SolveParity, AutoBatchMatchesScheduleInBatchesAuto) {
     expect_same_schedule(res->schedule, legacy.schedule);
     EXPECT_DOUBLE_EQ(res->makespan, legacy.schedule.makespan(inst));
   }
-  // Win counts mirror the legacy per-batch winners.
+  // Win counts mirror the per-batch winners.
   std::size_t total_wins = 0;
   for (const CandidateOutcome& o : via_name.outcomes) {
     total_wins += o.batch_wins;
-    const auto id = heuristic_from_name(o.name);
-    ASSERT_TRUE(id.has_value());
+    const Heuristic* h = find_heuristic(o.name);
+    ASSERT_NE(h, nullptr);
     EXPECT_EQ(o.batch_wins,
               static_cast<std::size_t>(std::count(legacy.winners.begin(),
-                                                  legacy.winners.end(), *id)));
+                                                  legacy.winners.end(), h)));
   }
   EXPECT_EQ(total_wins, legacy.winners.size());
-}
-
-TEST(SolveParity, LocalSearchMatchesLegacy) {
-  const Instance inst = testing::table5_instance();
-  SolveOptions options;
-  options.max_iterations = 500;
-  options.seed = 9;
-  LocalSearchOptions legacy_options;
-  legacy_options.max_iterations = 500;
-  legacy_options.seed = 9;
-  const LocalSearchResult legacy =
-      schedule_local_search(inst, testing::kTable5Capacity, legacy_options);
-  const SolveResult res = solve(request_for(inst, testing::kTable5Capacity),
-                                "local-search", options);
-  EXPECT_DOUBLE_EQ(res.makespan, legacy.makespan);
-  expect_same_schedule(res.schedule, legacy.schedule);
-  ASSERT_FALSE(res.outcomes.empty());
-  EXPECT_DOUBLE_EQ(res.outcomes.front().makespan, legacy.initial_makespan);
-  EXPECT_EQ(res.evaluations, legacy.iterations);
 }
 
 TEST(SolveParity, WindowMatchesScheduleWindowed) {
@@ -377,8 +303,9 @@ TEST(SolveCancellation, PreCancelledTokenStopsBranchBoundImmediately) {
   EXPECT_TRUE(res.schedule.complete());
   EXPECT_TRUE(
       testing::feasible(inst, res.schedule, testing::kTable2Capacity));
-  EXPECT_DOUBLE_EQ(res.makespan, heuristic_makespan(HeuristicId::kOS, inst,
-                                                    testing::kTable2Capacity));
+  EXPECT_DOUBLE_EQ(
+      res.makespan,
+      solve(request_for(inst, testing::kTable2Capacity), "OS").makespan);
 }
 
 TEST(SolveCancellation, ExpiredDeadlineStopsBranchBound) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -78,24 +79,32 @@ TEST(StaticOrders, SchedulesFeasibleUnderCapacity) {
   for (int iter = 0; iter < 50; ++iter) {
     const Instance inst = testing::random_instance(rng, 10);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (StaticOrderPolicy p :
-         {StaticOrderPolicy::kJohnson, StaticOrderPolicy::kIncreasingComm,
-          StaticOrderPolicy::kDecreasingComp,
-          StaticOrderPolicy::kIncreasingCommPlusComp,
-          StaticOrderPolicy::kDecreasingCommPlusComp}) {
-      const Schedule s = schedule_static(inst, p, capacity);
-      EXPECT_TRUE(testing::feasible(inst, s, capacity));
+    for (const char* name : {"OOSIM", "IOCMS", "DOCPS", "IOCCS", "DOCCS"}) {
+      const Schedule s = testing::solve_named(inst, capacity, name).schedule;
+      EXPECT_TRUE(testing::feasible(inst, s, capacity)) << name;
     }
   }
 }
 
+/// The heuristic table maps each static acronym to its policy's order.
 TEST(StaticOrders, Acronyms) {
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kSubmission), "OS");
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kJohnson), "OOSIM");
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kIncreasingComm), "IOCMS");
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kDecreasingComp), "DOCPS");
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kIncreasingCommPlusComp), "IOCCS");
-  EXPECT_EQ(to_acronym(StaticOrderPolicy::kDecreasingCommPlusComp), "DOCCS");
+  const std::pair<const char*, StaticOrderPolicy> rows[] = {
+      {"OS", StaticOrderPolicy::kSubmission},
+      {"OOSIM", StaticOrderPolicy::kJohnson},
+      {"IOCMS", StaticOrderPolicy::kIncreasingComm},
+      {"DOCPS", StaticOrderPolicy::kDecreasingComp},
+      {"IOCCS", StaticOrderPolicy::kIncreasingCommPlusComp},
+      {"DOCCS", StaticOrderPolicy::kDecreasingCommPlusComp},
+  };
+  Rng rng(8);
+  const Instance inst = testing::random_instance(rng, 20);
+  for (const auto& [name, policy] : rows) {
+    const Heuristic* h = find_heuristic(name);
+    ASSERT_NE(h, nullptr) << name;
+    ASSERT_NE(h->order, nullptr) << name;
+    EXPECT_EQ(h->order(inst, inst.min_capacity()), static_order(inst, policy))
+        << name;
+  }
 }
 
 TEST(StaticOrders, StableTieBreaking) {

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/registry.hpp"
 #include "core/schedule.hpp"
+#include "core/solver.hpp"
 #include "core/validate.hpp"
 #include "support/rng.hpp"
 
@@ -104,6 +108,38 @@ inline Instance random_instance_free_mem(Rng& rng, std::size_t n) {
 inline Mem random_capacity(Rng& rng, const Instance& inst, double max_factor = 3.0) {
   const Mem mc = inst.min_capacity();
   return mc <= 0.0 ? 1.0 : mc * rng.uniform(1.0, max_factor);
+}
+
+/// solve() of the solver named `solver` (e.g. a heuristic acronym) on
+/// `inst` under `capacity`.
+inline SolveResult solve_named(const Instance& inst, Mem capacity,
+                               std::string_view solver) {
+  SolveRequest request;
+  request.instance = inst;
+  request.capacity = capacity;
+  return solve(request, solver);
+}
+
+/// Every row of the heuristic table (core/registry.hpp), display order.
+inline std::vector<const Heuristic*> all_rows() {
+  std::vector<const Heuristic*> rows;
+  for (const Heuristic& h : heuristics()) rows.push_back(&h);
+  return rows;
+}
+
+/// A heuristic-table row as a test parameter: its index in heuristics().
+/// gtest prints it as its four bytes, so parameterized test names do not
+/// depend on where the table sits in memory.
+struct TableRow {
+  std::uint32_t index = 0;
+  [[nodiscard]] const Heuristic& get() const { return heuristics()[index]; }
+};
+
+/// Every row as a test parameter, display order.
+inline std::vector<TableRow> table_rows() {
+  std::vector<TableRow> rows;
+  for (std::uint32_t k = 0; k < heuristics().size(); ++k) rows.push_back({k});
+  return rows;
 }
 
 /// Gtest-friendly feasibility assertion.
